@@ -13,7 +13,6 @@ from .core import (
     Point3,
     PointSet,
     Volume3,
-    apply_transform,
     compose,
     decompose,
     rotation_matrix,
@@ -104,7 +103,6 @@ __all__ = [
     "SyntheticCase",
     "TREStat",
     "Volume3",
-    "apply_transform",
     "compare_methods",
     "compose",
     "decompose",

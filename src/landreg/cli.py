@@ -6,7 +6,8 @@ landmark volumes, landmark extraction, two-stage point registration
 plus a seeded synthetic-case generator and a batch method comparison.
 
 Exit codes: 0 success, 2 I/O or format problem, 3 degenerate data,
-4 correspondence mismatch, 5 numerical degeneracy.
+4 correspondence mismatch, 5 numerical degeneracy. A library error exits
+with its class's ``exit_code``; an ``OSError`` exits 2.
 """
 
 from __future__ import annotations
@@ -17,21 +18,7 @@ import sys
 import numpy as np
 
 from .core import Point3, Volume3, compose, decompose
-from .errors import (
-    CorrespondenceError,
-    DecompositionError,
-    DegenerateConfigurationError,
-    DegenerateGeometryError,
-    DegenerateTestError,
-    DivergenceError,
-    FormatError,
-    InsufficientSampleError,
-    InvalidDataError,
-    InvalidParameterError,
-    LandregError,
-    NoFeatureError,
-    OutOfBoundsError,
-)
+from .errors import CorrespondenceError, FormatError, InvalidDataError, LandregError
 from .evaluate import (
     compare_methods,
     identity_method,
@@ -52,12 +39,6 @@ from .refine import RefineConfig, refine
 from .synth import SCALE_MODES, SynthConfig, generate_cases, load_cases, save_cases
 from .umeyama import umeyama_fit
 
-EXIT_OK = 0
-EXIT_FORMAT = 2
-EXIT_DEGENERATE_DATA = 3
-EXIT_CORRESPONDENCE = 4
-EXIT_NUMERICAL = 5
-
 _METHOD_FACTORIES = {
     "identity": identity_method,
     "umeyama": umeyama_method,
@@ -65,31 +46,6 @@ _METHOD_FACTORIES = {
 }
 
 _AXES = {"x": 0, "y": 1, "z": 2}
-
-
-def _exit_code(exc: LandregError) -> int:
-    if isinstance(exc, FormatError):
-        return EXIT_FORMAT
-    if isinstance(
-        exc,
-        (
-            NoFeatureError,
-            OutOfBoundsError,
-            InvalidDataError,
-            DegenerateGeometryError,
-            DegenerateTestError,
-            InsufficientSampleError,
-        ),
-    ):
-        return EXIT_DEGENERATE_DATA
-    if isinstance(exc, CorrespondenceError):
-        return EXIT_CORRESPONDENCE
-    if isinstance(
-        exc,
-        (DegenerateConfigurationError, DecompositionError, DivergenceError, InvalidParameterError),
-    ):
-        return EXIT_NUMERICAL
-    return 1
 
 
 def _triple_floats(text: str) -> tuple[float, float, float]:
@@ -158,7 +114,7 @@ def cmd_edt(args: argparse.Namespace) -> int:
     except InvalidDataError as exc:
         raise FormatError(f"{args.mask}: {exc}") from exc
     write_volume(distance_transform(mask).volume, args.out)
-    return EXIT_OK
+    return 0
 
 
 def cmd_make_label(args: argparse.Namespace) -> int:
@@ -173,7 +129,7 @@ def cmd_make_label(args: argparse.Namespace) -> int:
     )
     label = make_label(Point3(*args.landmark), template)
     write_volume(label.volume, args.out)
-    return EXIT_OK
+    return 0
 
 
 def cmd_register(args: argparse.Namespace) -> int:
@@ -198,7 +154,7 @@ def cmd_register(args: argparse.Namespace) -> int:
     else:
         write_transform(matrix, args.out)
         print(f"loss: {tre(matrix, moving, fixed).mean:.3f} mm")
-    return EXIT_OK
+    return 0
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -206,7 +162,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     moving = read_points(args.moving)
     fixed = read_points(args.fixed)
     print(f"TRE: {tre(transform, moving, fixed)}")
-    return EXIT_OK
+    return 0
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
@@ -219,7 +175,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         lo, hi = extract_extremes(BinaryMask(volume), axis=_AXES[args.axis])
         print(f"lo,{lo.x!r},{lo.y!r},{lo.z!r}")
         print(f"hi,{hi.x!r},{hi.y!r},{hi.z!r}")
-    return EXIT_OK
+    return 0
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -237,7 +193,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     cases = generate_cases(args.seed, args.cases, config)
     save_cases(cases, args.out_dir, config)
     print(f"wrote {len(cases)} case(s) to {args.out_dir}")
-    return EXIT_OK
+    return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -248,7 +204,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(comparison.to_csv())
     print(comparison.to_text(), end="")
-    return EXIT_OK
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -358,10 +314,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except LandregError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _exit_code(exc)
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
+        return 2
 
 
 if __name__ == "__main__":

@@ -361,14 +361,8 @@ def decompose(matrix: AffineMatrix) -> AffineParams9:
     )
 
 
-def apply_transform(matrix: AffineMatrix, pts: PointSet) -> PointSet:
-    """Transform every point: ``linear @ p + translation``, order preserved."""
-    out = pts.coords @ matrix.linear.T + matrix.translation
-    return PointSet(out, pts.names)
-
-
 def transform_array(matrix: AffineMatrix, coords: np.ndarray) -> np.ndarray:
-    """Array-level variant of :func:`apply_transform` for internal math."""
+    """Map each row ``p`` of an (n, 3) array to ``linear @ p + translation``."""
     return coords @ matrix.linear.T + matrix.translation
 
 

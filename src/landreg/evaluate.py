@@ -26,6 +26,7 @@ from .errors import (
     CorrespondenceError,
     DegenerateTestError,
     InsufficientSampleError,
+    LandregError,
 )
 from .refine import RefineConfig, refine
 from .umeyama import umeyama_fit
@@ -261,8 +262,10 @@ def compare_methods(cases: Sequence[EvalCase], methods: Sequence[Method]) -> Met
     means between methods; a degenerate pair (identical per-case results)
     is recorded as None rather than raising.
 
-    Errors from the underlying fits are re-raised annotated with the case
-    id. Ordering is deterministic: cases and methods in the given order.
+    A library error from the underlying fits is re-raised as the same
+    object, its message prefixed with the case id and method name; any
+    other exception propagates untouched. Ordering is deterministic:
+    cases and methods in the given order.
     """
     if not cases:
         raise InsufficientSampleError("compare_methods needs at least one case")
@@ -285,8 +288,9 @@ def compare_methods(cases: Sequence[EvalCase], methods: Sequence[Method]) -> Met
                 holdout_stat = None
                 if case.moving_eval is not None and case.fixed_eval is not None:
                     holdout_stat = tre(transform, case.moving_eval, case.fixed_eval)
-            except Exception as exc:
-                raise type(exc)(f"[case {case.case_id}, method {name}] {exc}") from exc
+            except LandregError as exc:
+                exc.args = (f"[case {case.case_id}, method {name}] {exc}",)
+                raise
             reports.append(
                 RegistrationReport(
                     case_id=case.case_id,

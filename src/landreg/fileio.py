@@ -14,7 +14,8 @@ from __future__ import annotations
 import csv
 import json
 import os
-from typing import Sequence
+from contextlib import contextmanager
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -31,32 +32,48 @@ def _require(condition: bool, path: str | os.PathLike, message: str) -> None:
         raise FormatError(f"{path}: {message}")
 
 
+@contextmanager
+def _decoding(where: str | os.PathLike) -> Iterator[None]:
+    """Report any failure to decode file content as :class:`FormatError`.
+
+    This is the one place where foreign exceptions become ``FormatError``:
+    bad encoding and bad JSON (both ``ValueError``), JSON values of the
+    wrong type (``TypeError``), integers too large for a float, runaway
+    nesting, CSV fields over the parser's limit and the library's own
+    validation errors, each prefixed with ``where``. ``FormatError``
+    passes unchanged, so a nested scope keeps its more precise location,
+    and ``OSError`` passes as an I/O error.
+    """
+    try:
+        yield
+    except FormatError:
+        raise
+    except (ValueError, TypeError, OverflowError, RecursionError, csv.Error, LandregError) as exc:
+        raise FormatError(f"{where}: {exc}") from exc
+
+
 def read_points(path: str | os.PathLike) -> PointSet:
     """Read a landmark CSV (header ``name,x,y,z``, mm)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    _require(bool(rows), path, "empty point file")
-    _require(
-        tuple(cell.strip() for cell in rows[0]) == POINTS_HEADER,
-        path,
-        f"expected header 'name,x,y,z', got {','.join(rows[0])!r}",
-    )
-    names: list[str] = []
-    coords: list[tuple[float, float, float]] = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        _require(len(row) == 4, path, f"line {lineno}: expected 4 fields, got {len(row)}")
-        try:
-            coords.append((float(row[1]), float(row[2]), float(row[3])))
-        except ValueError as exc:
-            raise FormatError(f"{path}: line {lineno}: {exc}") from exc
-        names.append(row[0])
-    _require(bool(coords), path, "point file holds no points")
-    try:
+    with _decoding(path):
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        _require(bool(rows), path, "empty point file")
+        _require(
+            tuple(cell.strip() for cell in rows[0]) == POINTS_HEADER,
+            path,
+            f"expected header 'name,x,y,z', got {','.join(rows[0])!r}",
+        )
+        names: list[str] = []
+        coords: list[tuple[float, float, float]] = []
+        for lineno, row in enumerate(rows[1:], start=2):
+            if not row:
+                continue
+            _require(len(row) == 4, path, f"line {lineno}: expected 4 fields, got {len(row)}")
+            with _decoding(f"{path}: line {lineno}"):
+                coords.append((float(row[1]), float(row[2]), float(row[3])))
+            names.append(row[0])
+        _require(bool(coords), path, "point file holds no points")
         return PointSet(np.asarray(coords, dtype=float), names=tuple(names))
-    except LandregError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
 
 
 def write_points(points: PointSet, path: str | os.PathLike) -> None:
@@ -73,24 +90,18 @@ def write_points(points: PointSet, path: str | os.PathLike) -> None:
 
 def read_transform(path: str | os.PathLike) -> AffineMatrix:
     """Read a transform JSON; the row-major ``matrix`` field is authoritative."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    with _decoding(path):
+        with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON: {exc}") from exc
-    _require(isinstance(payload, dict), path, "transform file must hold a JSON object")
-    _require("matrix" in payload, path, "transform file lacks a 'matrix' field")
-    entries = payload["matrix"]
-    _require(
-        isinstance(entries, list) and len(entries) == 16,
-        path,
-        "'matrix' must be a list of 16 numbers (row-major)",
-    )
-    try:
-        matrix = np.asarray(entries, dtype=float).reshape(4, 4)
-        return AffineMatrix(matrix)
-    except (ValueError, LandregError) as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+        _require(isinstance(payload, dict), path, "transform file must hold a JSON object")
+        _require("matrix" in payload, path, "transform file lacks a 'matrix' field")
+        entries = payload["matrix"]
+        _require(
+            isinstance(entries, list) and len(entries) == 16,
+            path,
+            "'matrix' must be a list of 16 numbers (row-major)",
+        )
+        return AffineMatrix(np.asarray(entries, dtype=float).reshape(4, 4))
 
 
 def write_transform(
@@ -130,71 +141,70 @@ def _triple(payload: dict, key: str, path: str | os.PathLike) -> tuple[float, fl
         path,
         f"'{key}' must be a list of 3 numbers",
     )
-    try:
+    with _decoding(f"{path}: '{key}'"):
         return tuple(float(v) for v in value)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: '{key}': {exc}") from exc
 
 
 def read_volume(path: str | os.PathLike) -> Volume3:
     """Read a volume JSON header and its raw little-endian float32 payload.
 
-    The ``data`` path is resolved relative to the header's directory.
+    The ``data`` path is relative and resolved against the header's
+    directory; a path that is absolute or leaves that directory is a
+    :class:`FormatError`.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    with _decoding(path):
+        with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON: {exc}") from exc
-    _require(isinstance(payload, dict), path, "volume header must be a JSON object")
-    for key in ("dims", "spacing", "origin", "dtype", "data"):
-        _require(key in payload, path, f"volume header lacks '{key}'")
-    _require(
-        payload["dtype"] == VOLUME_DTYPE,
-        path,
-        f"unsupported dtype {payload['dtype']!r}, expected '{VOLUME_DTYPE}'",
-    )
-    dims_raw = payload["dims"]
-    _require(
-        isinstance(dims_raw, list) and len(dims_raw) == 3,
-        path,
-        "'dims' must be a list of 3 integers",
-    )
-    _require(
-        all(isinstance(d, int) and not isinstance(d, bool) for d in dims_raw),
-        path,
-        "'dims' entries must be integers",
-    )
-    dims = tuple(int(d) for d in dims_raw)
-    spacing = _triple(payload, "spacing", path)
-    origin = _triple(payload, "origin", path)
-    _require(isinstance(payload["data"], str), path, "'data' must be a path string")
-    raw_path = os.path.join(os.path.dirname(os.fspath(path)), payload["data"])
-    with open(raw_path, "rb") as fh:
-        blob = fh.read()
-    n = dims[0] * dims[1] * dims[2]
-    _require(
-        len(blob) == n * _RAW_DTYPE.itemsize,
-        path,
-        f"raw file {payload['data']!r} holds {len(blob)} bytes, expected {n * _RAW_DTYPE.itemsize}",
-    )
-    data = np.frombuffer(blob, dtype=_RAW_DTYPE).astype(float)
-    try:
+        _require(isinstance(payload, dict), path, "volume header must be a JSON object")
+        for key in ("dims", "spacing", "origin", "dtype", "data"):
+            _require(key in payload, path, f"volume header lacks '{key}'")
+        _require(
+            payload["dtype"] == VOLUME_DTYPE,
+            path,
+            f"unsupported dtype {payload['dtype']!r}, expected '{VOLUME_DTYPE}'",
+        )
+        dims_raw = payload["dims"]
+        _require(
+            isinstance(dims_raw, list) and len(dims_raw) == 3,
+            path,
+            "'dims' must be a list of 3 integers",
+        )
+        _require(
+            all(isinstance(d, int) and not isinstance(d, bool) for d in dims_raw),
+            path,
+            "'dims' entries must be integers",
+        )
+        dims = tuple(int(d) for d in dims_raw)
+        spacing = _triple(payload, "spacing", path)
+        origin = _triple(payload, "origin", path)
+        raw_name = payload["data"]
+        _require(isinstance(raw_name, str), path, "'data' must be a path string")
+        _require(
+            not os.path.isabs(raw_name)
+            and os.path.normpath(raw_name).split(os.sep)[0] != os.pardir,
+            path,
+            f"'data' must be a relative path inside the header's directory, got {raw_name!r}",
+        )
+        with open(os.path.join(os.path.dirname(os.fspath(path)), raw_name), "rb") as fh:
+            blob = fh.read()
+        n = dims[0] * dims[1] * dims[2]
+        _require(
+            len(blob) == n * _RAW_DTYPE.itemsize,
+            path,
+            f"raw file {raw_name!r} holds {len(blob)} bytes, expected {n * _RAW_DTYPE.itemsize}",
+        )
+        data = np.frombuffer(blob, dtype=_RAW_DTYPE).astype(float)
         return Volume3(dims=dims, spacing=spacing, origin=Point3(*origin), data=data)
-    except LandregError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
 
 
-def write_volume(volume: Volume3, path: str | os.PathLike, raw_name: str | None = None) -> None:
+def write_volume(volume: Volume3, path: str | os.PathLike) -> None:
     """Write a volume as JSON header plus raw float32 file.
 
-    The raw file lands next to the header, named after it unless
-    ``raw_name`` overrides; values are narrowed to 32-bit floats.
+    The raw file lands next to the header, named after it with a ``.raw``
+    extension; values are narrowed to 32-bit floats.
     """
     path = os.fspath(path)
-    if raw_name is None:
-        stem = os.path.splitext(os.path.basename(path))[0]
-        raw_name = stem + ".raw"
+    raw_name = os.path.splitext(os.path.basename(path))[0] + ".raw"
     payload = {
         "dims": [int(d) for d in volume.dims],
         "spacing": [float(s) for s in volume.spacing],

@@ -10,6 +10,7 @@ from landreg.errors import (
     CorrespondenceError,
     DegenerateConfigurationError,
     DegenerateTestError,
+    DivergenceError,
     InsufficientSampleError,
 )
 from landreg.evaluate import (
@@ -169,6 +170,27 @@ def test_compare_annotates_errors_with_case_id():
     )
     with pytest.raises(DegenerateConfigurationError, match="broken"):
         compare_methods([bad], [umeyama_method()])
+
+
+def test_compare_keeps_error_class_and_attributes():
+    def diverging(moving, fixed):
+        raise DivergenceError("boom", iteration=7)
+
+    with pytest.raises(DivergenceError) as info:
+        compare_methods([aligned_case("c7")], [("diverging", diverging)])
+    assert info.value.iteration == 7
+    assert str(info.value) == "[case c7, method diverging] boom"
+
+
+def test_compare_lets_foreign_errors_propagate_untouched():
+    original = UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+
+    def broken(moving, fixed):
+        raise original
+
+    with pytest.raises(UnicodeDecodeError) as info:
+        compare_methods([aligned_case()], [("broken", broken)])
+    assert info.value is original
 
 
 def test_compare_requires_cases_and_unique_names():

@@ -151,10 +151,10 @@ def test_volume_round_trip_narrows_to_f32(tmp_path):
 def test_volume_raw_is_little_endian_f32_x_fastest(tmp_path):
     path = tmp_path / "vol.json"
     vol = Volume3(dims=(2, 1, 2), spacing=(1, 1, 1), data=np.array([1.0, 2.0, 3.0, 4.0]))
-    write_volume(vol, path, raw_name="payload.bin")
-    blob = (tmp_path / "payload.bin").read_bytes()
+    write_volume(vol, path)
+    blob = (tmp_path / "vol.raw").read_bytes()
     assert np.array_equal(np.frombuffer(blob, dtype="<f4"), [1.0, 2.0, 3.0, 4.0])
-    assert json.loads(path.read_text())["data"] == "payload.bin"
+    assert json.loads(path.read_text())["data"] == "vol.raw"
 
 
 def test_volume_rejects_bad_headers(tmp_path):
@@ -175,6 +175,8 @@ def test_volume_rejects_bad_headers(tmp_path):
         lambda d: d.update(spacing=[1.0, 0.0, 1.0]),
         lambda d: d.update(dtype="f64"),
         lambda d: d.update(data=17),
+        lambda d: d.update(data=str(raw)),
+        lambda d: d.update(data=f"../{tmp_path.name}/v.raw"),
     ):
         payload = dict(base)
         mutate(payload)
