@@ -19,6 +19,7 @@ from .core import (
     transform_array,
 )
 from .errors import (
+    ConvergenceError,
     CorrespondenceError,
     DecompositionError,
     DegenerateConfigurationError,
@@ -75,6 +76,7 @@ __all__ = [
     "AffineMatrix",
     "AffineParams9",
     "BinaryMask",
+    "ConvergenceError",
     "CorrespondenceError",
     "DecompositionError",
     "DegenerateConfigurationError",

@@ -79,6 +79,12 @@ class DivergenceError(LandregError):
         self.iteration = iteration
 
 
+class ConvergenceError(LandregError):
+    """An iterative numerical method exhausted its iterations unconverged."""
+
+    exit_code = 5
+
+
 class InsufficientSampleError(LandregError):
     """A statistical test needs more samples than were supplied."""
 

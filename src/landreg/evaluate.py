@@ -18,14 +18,17 @@ import numpy as np
 from .core import (
     AffineMatrix,
     PointSet,
+    compose,
     decompose,
     require_correspondence,
     transform_array,
 )
 from .errors import (
+    ConvergenceError,
     CorrespondenceError,
     DegenerateTestError,
     InsufficientSampleError,
+    InvalidParameterError,
     LandregError,
 )
 from .refine import RefineConfig, refine
@@ -136,13 +139,18 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < 1e-15:
             return h
-    raise ArithmeticError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")
+    raise ConvergenceError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")
 
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b), the regularized incomplete beta function."""
+    """I_x(a, b), the regularized incomplete beta function.
+
+    Raises :class:`InvalidParameterError` for ``x`` outside [0, 1] and
+    :class:`ConvergenceError` when the continued fraction does not settle
+    within its iteration budget (very large ``a`` and ``b``).
+    """
     if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [0, 1], got {x}")
+        raise InvalidParameterError(f"x must lie in [0, 1], got {x}")
     if x == 0.0:
         return 0.0
     if x == 1.0:
@@ -196,8 +204,6 @@ def refined_method(config: RefineConfig | None = None) -> Method:
     cfg = config if config is not None else RefineConfig()
 
     def fit(moving: PointSet, fixed: PointSet) -> AffineMatrix:
-        from .core import compose
-
         start = decompose(umeyama_fit(moving, fixed))
         return compose(refine(start, moving, fixed, cfg).params)
 

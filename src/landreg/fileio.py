@@ -32,6 +32,11 @@ def _require(condition: bool, path: str | os.PathLike, message: str) -> None:
         raise FormatError(f"{path}: {message}")
 
 
+def _is_number(value: object) -> bool:
+    """Whether a decoded JSON value is a number (JSON booleans are not)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @contextmanager
 def _decoding(where: str | os.PathLike) -> Iterator[None]:
     """Report any failure to decode file content as :class:`FormatError`.
@@ -97,7 +102,7 @@ def read_transform(path: str | os.PathLike) -> AffineMatrix:
         _require("matrix" in payload, path, "transform file lacks a 'matrix' field")
         entries = payload["matrix"]
         _require(
-            isinstance(entries, list) and len(entries) == 16,
+            isinstance(entries, list) and len(entries) == 16 and all(map(_is_number, entries)),
             path,
             "'matrix' must be a list of 16 numbers (row-major)",
         )
@@ -137,7 +142,7 @@ def write_transform(
 def _triple(payload: dict, key: str, path: str | os.PathLike) -> tuple[float, float, float]:
     value = payload.get(key)
     _require(
-        isinstance(value, list) and len(value) == 3,
+        isinstance(value, list) and len(value) == 3 and all(map(_is_number, value)),
         path,
         f"'{key}' must be a list of 3 numbers",
     )
@@ -201,10 +206,17 @@ def write_volume(volume: Volume3, path: str | os.PathLike) -> None:
     """Write a volume as JSON header plus raw float32 file.
 
     The raw file lands next to the header, named after it with a ``.raw``
-    extension; values are narrowed to 32-bit floats.
+    extension; values are narrowed to 32-bit floats. A header path that
+    itself ends in ``.raw`` would be overwritten by its payload, so it is
+    a :class:`FormatError` and nothing is written.
     """
     path = os.fspath(path)
     raw_name = os.path.splitext(os.path.basename(path))[0] + ".raw"
+    _require(
+        raw_name != os.path.basename(path),
+        path,
+        "a volume header may not end in '.raw', the extension of its raw file",
+    )
     payload = {
         "dims": [int(d) for d in volume.dims],
         "spacing": [float(s) for s in volume.spacing],

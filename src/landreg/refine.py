@@ -15,21 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    AffineParams9,
-    PointSet,
-    require_correspondence,
-    rotation_x,
-    rotation_y,
-    rotation_z,
-)
+from .core import AffineParams9, PointSet, require_correspondence
 from .errors import DivergenceError, InvalidParameterError
 
-_DRX = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
-_DRY = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-_DRZ = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-
 TRACE_STRIDE = 100
+
+
+def _require_loss_epsilon(loss_epsilon: float) -> None:
+    if not (loss_epsilon > 0 and math.isfinite(loss_epsilon)):
+        raise InvalidParameterError(f"loss_epsilon must be positive, got {loss_epsilon}")
 
 
 @dataclass(frozen=True)
@@ -60,8 +54,7 @@ class RefineConfig:
                 raise InvalidParameterError(f"{name} must lie in (0, 1), got {b}")
         if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
             raise InvalidParameterError(f"epsilon must be positive, got {self.epsilon}")
-        if not (self.loss_epsilon > 0 and math.isfinite(self.loss_epsilon)):
-            raise InvalidParameterError(f"loss_epsilon must be positive, got {self.loss_epsilon}")
+        _require_loss_epsilon(self.loss_epsilon)
 
 
 @dataclass(frozen=True)
@@ -69,55 +62,97 @@ class RefineResult:
     """Outcome of a refinement run.
 
     ``params`` and ``final_loss`` describe the best iterate visited, so
-    ``final_loss <= initial_loss`` always. ``loss_trace`` holds
-    (iteration, loss) samples: iteration 0, every 100th, and the last.
+    ``final_loss <= initial_loss`` always; ``best_iteration`` is the
+    iteration at which ``final_loss`` was first reached (0 for the start).
+    ``loss_trace`` holds (iteration, loss) samples: iteration 0, every
+    100th, and the last.
     """
 
     params: AffineParams9
     loss_trace: tuple[tuple[int, float], ...]
     initial_loss: float
     final_loss: float
+    best_iteration: int
 
 
-def _loss_and_gradient(theta: np.ndarray, src: np.ndarray, dst: np.ndarray,
-                       loss_epsilon: float) -> tuple[float, np.ndarray]:
-    """Mean regularized distance and its 9-vector gradient at ``theta``.
+def _pairs(moving: PointSet, fixed: PointSet) -> list[list[float]]:
+    """Correspondences as rows (px, py, pz, fx, fy, fz) of Python floats."""
+    return np.hstack((moving.coords, fixed.coords)).tolist()
 
-    ``theta`` is (tx, ty, tz, rx, ry, rz, sx, sy, sz); ``src``/``dst`` are
-    (n, 3) coordinate arrays. Scales may be arbitrary here: the optimizer
-    owns the raw vector and only converts back to validated parameters at
-    the end.
+
+def _loss_and_gradient(theta, pairs, loss_epsilon: float) -> tuple[float, list[float]]:
+    """Mean regularized distance and its 9 partial derivatives at ``theta``.
+
+    ``theta`` is (tx, ty, tz, rx, ry, rz, sx, sy, sz) and ``pairs`` the
+    rows of :func:`_pairs`. Everything is scalar float arithmetic in one
+    pass over the points: the landmark sets are small, so array calls
+    would cost more than the arithmetic. Scales may be arbitrary here: the
+    optimizer owns the raw vector and only converts back to validated
+    parameters at the end.
+
+    With g_i the loss gradient at the i-th transformed point and p_i the
+    i-th moving point, the translation gradient is sum(g_i), and every
+    other derivative comes from the moment matrix H = sum(g_i p_i^T):
+    ``d/ds_j = sum_k R[k, j] H[k, j]`` and ``d/dr = <dR/dr, H diag(s)>``
+    with ``dR/drx = R Gx``, ``dR/dry = [Rz e_y]x R`` and ``dR/drz = Gz R``,
+    where G is the generator of the rotation about an axis.
     """
-    t = theta[0:3]
-    rx, ry, rz = theta[3:6]
-    s = theta[6:9]
+    tx, ty, tz, rx, ry, rz, sx, sy, sz = theta
+    cx, snx = math.cos(rx), math.sin(rx)
+    cy, sny = math.cos(ry), math.sin(ry)
+    cz, snz = math.cos(rz), math.sin(rz)
+    # R = Rz @ Ry @ Rx
+    r00, r01, r02 = cz * cy, cz * sny * snx - snz * cx, cz * sny * cx + snz * snx
+    r10, r11, r12 = snz * cy, snz * sny * snx + cz * cx, snz * sny * cx - cz * snx
+    r20, r21, r22 = -sny, cy * snx, cy * cx
+    # linear part R @ diag(s)
+    a00, a01, a02 = r00 * sx, r01 * sy, r02 * sz
+    a10, a11, a12 = r10 * sx, r11 * sy, r12 * sz
+    a20, a21, a22 = r20 * sx, r21 * sy, r22 * sz
 
-    mx = rotation_x(rx)
-    my = rotation_y(ry)
-    mz = rotation_z(rz)
-    rot = mz @ my @ mx
-    # derivative of the rotation w.r.t. each angle, same composition order
-    drot = (
-        mz @ my @ (_DRX @ mx),
-        mz @ (_DRY @ my) @ mx,
-        (_DRZ @ mz) @ my @ mx,
-    )
+    n = len(pairs)
+    total = gx = gy = gz = 0.0
+    h00 = h01 = h02 = h10 = h11 = h12 = h20 = h21 = h22 = 0.0
+    for px, py, pz, fx, fy, fz in pairs:
+        ex = fx - (a00 * px + a01 * py + a02 * pz + tx)
+        ey = fy - (a10 * px + a11 * py + a12 * pz + ty)
+        ez = fz - (a20 * px + a21 * py + a22 * pz + tz)
+        dist = math.sqrt(ex * ex + ey * ey + ez * ez + loss_epsilon)
+        total += dist
+        # d(loss)/d(predicted_i) = -resid_i / (n * dist_i)
+        nd = n * dist
+        ux, uy, uz = -ex / nd, -ey / nd, -ez / nd
+        gx += ux
+        gy += uy
+        gz += uz
+        h00 += ux * px
+        h01 += ux * py
+        h02 += ux * pz
+        h10 += uy * px
+        h11 += uy * py
+        h12 += uy * pz
+        h20 += uz * px
+        h21 += uz * py
+        h22 += uz * pz
 
-    scaled = src * s  # diag(s) @ p for every point
-    predicted = scaled @ rot.T + t
-    resid = dst - predicted
-    dist = np.sqrt((resid * resid).sum(axis=1) + loss_epsilon)
-    n = src.shape[0]
-    loss = float(dist.mean())
-
-    # d(loss)/d(predicted_i) = -resid_i / (n * dist_i)
-    gpred = -resid / (n * dist)[:, None]
-    grad = np.empty(9)
-    grad[0:3] = gpred.sum(axis=0)
-    for a in range(3):
-        grad[3 + a] = float(((gpred @ drot[a]) * scaled).sum())
-    grad[6:9] = ((gpred @ rot) * src).sum(axis=0)
-    return loss, grad
+    # M = H @ diag(s), the gradient with respect to R
+    m00, m01, m02 = h00 * sx, h01 * sy, h02 * sz
+    m10, m11, m12 = h10 * sx, h11 * sy, h12 * sz
+    m20, m21, m22 = h20 * sx, h21 * sy, h22 * sz
+    grad = [
+        gx,
+        gy,
+        gz,
+        (r02 * m01 + r12 * m11 + r22 * m21) - (r01 * m02 + r11 * m12 + r21 * m22),
+        cz * (r20 * m00 + r21 * m01 + r22 * m02)
+        + snz * (r20 * m10 + r21 * m11 + r22 * m12)
+        - ((cz * r00 + snz * r10) * m20 + (cz * r01 + snz * r11) * m21 + (cz * r02 + snz * r12) * m22),
+        (r00 * m10 + r01 * m11 + r02 * m12) - (r10 * m00 + r11 * m01 + r12 * m02),
+        r00 * h00 + r10 * h10 + r20 * h20,
+        r01 * h01 + r11 * h11 + r21 * h21,
+        r02 * h02 + r12 * h12 + r22 * h22,
+    ]
+    return total / n, grad
 
 
 def loss(params: AffineParams9, moving: PointSet, fixed: PointSet,
@@ -130,7 +165,8 @@ def loss(params: AffineParams9, moving: PointSet, fixed: PointSet,
     registration error metric up to the regularizer.
     """
     require_correspondence(moving, fixed)
-    value, _ = _loss_and_gradient(params.as_vector(), moving.coords, fixed.coords, loss_epsilon)
+    _require_loss_epsilon(loss_epsilon)
+    value, _ = _loss_and_gradient(params.t + params.r + params.s, _pairs(moving, fixed), loss_epsilon)
     return value
 
 
@@ -143,8 +179,9 @@ def loss_gradient(params: AffineParams9, moving: PointSet, fixed: PointSet,
     relative error below 1e-4 on any non-vanishing component.
     """
     require_correspondence(moving, fixed)
-    _, grad = _loss_and_gradient(params.as_vector(), moving.coords, fixed.coords, loss_epsilon)
-    return grad
+    _require_loss_epsilon(loss_epsilon)
+    _, grad = _loss_and_gradient(params.t + params.r + params.s, _pairs(moving, fixed), loss_epsilon)
+    return np.array(grad)
 
 
 def refine(init: AffineParams9, moving: PointSet, fixed: PointSet,
@@ -157,45 +194,59 @@ def refine(init: AffineParams9, moving: PointSet, fixed: PointSet,
     inputs produce bit-identical traces.
 
     Raises :class:`DivergenceError`, tagged with the iteration, if the
-    loss becomes non-finite.
+    loss becomes non-finite or the parameters leave the range the
+    arithmetic can evaluate.
     """
     require_correspondence(moving, fixed)
     cfg = config if config is not None else RefineConfig()
-    src = moving.coords
-    dst = fixed.coords
+    pairs = _pairs(moving, fixed)
+    loss_epsilon = cfg.loss_epsilon
+    step_size, beta1, beta2, epsilon = cfg.step_size, cfg.beta1, cfg.beta2, cfg.epsilon
+    keep1, keep2 = 1.0 - beta1, 1.0 - beta2
 
-    theta = init.as_vector()
-    m = np.zeros(9)
-    v = np.zeros(9)
+    theta = list(init.t + init.r + init.s)
+    m = [0.0] * 9
+    v = [0.0] * 9
     trace: list[tuple[int, float]] = []
 
-    value, grad = _loss_and_gradient(theta, src, dst, cfg.loss_epsilon)
-    if not math.isfinite(value):
-        raise DivergenceError("loss is non-finite at the initial parameters", iteration=0)
-    initial_loss = value
-    best_loss = value
-    best_theta = theta.copy()
-    trace.append((0, value))
-
-    for k in range(1, cfg.iterations + 1):
-        m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
-        v = cfg.beta2 * v + (1.0 - cfg.beta2) * grad * grad
-        m_hat = m / (1.0 - cfg.beta1**k)
-        v_hat = v / (1.0 - cfg.beta2**k)
-        theta = theta - cfg.step_size * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
-
-        value, grad = _loss_and_gradient(theta, src, dst, cfg.loss_epsilon)
+    k = 0
+    try:
+        value, grad = _loss_and_gradient(theta, pairs, loss_epsilon)
         if not math.isfinite(value):
-            raise DivergenceError(f"loss became non-finite at iteration {k}", iteration=k)
-        if value < best_loss:
-            best_loss = value
-            best_theta = theta.copy()
-        if k == 1 or k % TRACE_STRIDE == 0 or k == cfg.iterations:
-            trace.append((k, value))
+            raise DivergenceError("loss is non-finite at the initial parameters", iteration=0)
+        initial_loss = value
+        best_loss = value
+        best_theta = tuple(theta)
+        best_iteration = 0
+        trace.append((0, value))
+
+        for k in range(1, cfg.iterations + 1):
+            correction1 = 1.0 - beta1**k
+            correction2 = 1.0 - beta2**k
+            for i in range(9):
+                g = grad[i]
+                m[i] = beta1 * m[i] + keep1 * g
+                v[i] = beta2 * v[i] + keep2 * g * g
+                theta[i] = theta[i] - step_size * (m[i] / correction1) / (
+                    math.sqrt(v[i] / correction2) + epsilon)
+
+            value, grad = _loss_and_gradient(theta, pairs, loss_epsilon)
+            if not math.isfinite(value):
+                raise DivergenceError(f"loss became non-finite at iteration {k}", iteration=k)
+            if value < best_loss:
+                best_loss = value
+                best_theta = tuple(theta)
+                best_iteration = k
+            if k == 1 or k % TRACE_STRIDE == 0 or k == cfg.iterations:
+                trace.append((k, value))
+    except (ValueError, ArithmeticError) as exc:
+        # math functions raise where array arithmetic would yield nan or inf
+        raise DivergenceError(f"arithmetic failed at iteration {k}: {exc}", iteration=k) from exc
 
     return RefineResult(
         params=AffineParams9.from_vector(best_theta),
         loss_trace=tuple(trace),
         initial_loss=initial_loss,
         final_loss=best_loss,
+        best_iteration=best_iteration,
     )

@@ -32,6 +32,7 @@ README_EXIT_CODES = {
     "DegenerateTestError": 3,
     "InsufficientSampleError": 3,
     "CorrespondenceError": 4,
+    "ConvergenceError": 5,
     "DegenerateConfigurationError": 5,
     "DecompositionError": 5,
     "DivergenceError": 5,
@@ -110,15 +111,22 @@ json_values = st.recursive(
     lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=4), children, max_size=3),
     max_leaves=8,
 )
-# A matrix entry that never converts to a finite float.
-bad_entries = st.none() | st.dictionaries(st.text(max_size=3), st.integers(), max_size=2) | st.lists(
-    st.integers(), max_size=3
+# A matrix entry that is not a JSON number.
+bad_entries = (
+    st.none()
+    | st.booleans()
+    | st.text(max_size=4)
+    | st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)
+    | st.lists(st.integers(), max_size=3)
 )
 junk_text = st.text(st.characters(exclude_categories=("Cs",), exclude_characters=',"\r\n'), max_size=12)
 
 
 def _dump(value):
     return json.dumps(value).encode()
+
+
+IDENTITY_ENTRIES = [float(v) for v in np.eye(4).reshape(-1)]
 
 
 @st.composite
@@ -197,6 +205,12 @@ def hostile_requests(draw):
 @example(request=("evaluate", "t.json", b'{"matrix": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"))
 @example(request=("evaluate", "t.json", _dump({"matrix": [10**400] * 16})))
 @example(request=("compare", "cases/case_000/moving.csv", b"name,x,y,z\n" + b"a" * 200_000 + b",1,2,3\n"))
+# strings and booleans where the formats promise numbers
+@example(request=("evaluate", "t.json", _dump({"matrix": ["1"] + IDENTITY_ENTRIES[1:]})))
+@example(request=("evaluate", "t.json", _dump({"matrix": [True] + IDENTITY_ENTRIES[1:]})))
+@example(request=("evaluate", "t.json", _dump({"matrix": ["1e0"] + IDENTITY_ENTRIES[1:]})))
+@example(request=("extract", "vol.json", _dump({**HEADER, "spacing": ["1", True, "2.5"]})))
+@example(request=("edt", "vol.json", _dump({**HEADER, "origin": ["1e0", 0.0, False]})))
 def test_hostile_files_exit_with_contract_code(request):
     command, target, content = request
     with tempfile.TemporaryDirectory() as root:

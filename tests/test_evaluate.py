@@ -7,11 +7,13 @@ import scipy.stats
 
 from landreg.core import AffineMatrix, AffineParams9, PointSet, compose, transform_array
 from landreg.errors import (
+    ConvergenceError,
     CorrespondenceError,
     DegenerateConfigurationError,
     DegenerateTestError,
     DivergenceError,
     InsufficientSampleError,
+    InvalidParameterError,
 )
 from landreg.evaluate import (
     EvalCase,
@@ -96,6 +98,18 @@ def test_incomplete_beta_matches_reference():
     assert worst < 1e-10
     assert regularized_incomplete_beta(2.0, 3.0, 0.0) == 0.0
     assert regularized_incomplete_beta(2.0, 3.0, 1.0) == 1.0
+
+
+@pytest.mark.parametrize("x", [-0.1, 1.5, float("nan")])
+def test_incomplete_beta_rejects_x_outside_unit_interval(x):
+    with pytest.raises(InvalidParameterError):
+        regularized_incomplete_beta(2.0, 3.0, x)
+
+
+def test_incomplete_beta_non_convergence_is_a_library_error():
+    with pytest.raises(ConvergenceError) as info:
+        regularized_incomplete_beta(1e6, 1e6, 0.5)
+    assert info.value.exit_code == 5
 
 
 def test_paired_ttest_matches_reference():

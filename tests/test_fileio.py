@@ -126,6 +126,10 @@ def test_transform_sheared_matrix_written_without_params(tmp_path):
         '{"matrix": [1, 0, 0, 0]}',
         '{"matrix": [1,0,0,0, 0,1,0,0, 0,0,1,0, 0,0,0,2]}',
         '{"matrix": [0,0,0,0, 0,0,0,0, 0,0,0,0, 0,0,0,1]}',
+        # strings and booleans are not numbers, even where float() takes them
+        '{"matrix": ["1",0,0,0, 0,1,0,0, 0,0,1,0, 0,0,0,1]}',
+        '{"matrix": [true,0,0,0, 0,1,0,0, 0,0,1,0, 0,0,0,1]}',
+        '{"matrix": ["1e0",0,0,0, 0,1,0,0, 0,0,1,0, 0,0,0,1]}',
     ],
 )
 def test_transform_rejects_malformed(tmp_path, text):
@@ -173,6 +177,10 @@ def test_volume_rejects_bad_headers(tmp_path):
         lambda d: d.update(dims=[1, 1, 1.5]),
         lambda d: d.update(dims=[0, 1, 1]),
         lambda d: d.update(spacing=[1.0, 0.0, 1.0]),
+        lambda d: d.update(spacing=["1", 1.0, 1.0]),
+        lambda d: d.update(spacing=[1.0, True, 1.0]),
+        lambda d: d.update(origin=[0.0, 0.0, "1e0"]),
+        lambda d: d.update(origin=[False, 0.0, 0.0]),
         lambda d: d.update(dtype="f64"),
         lambda d: d.update(data=17),
         lambda d: d.update(data=str(raw)),
@@ -184,6 +192,17 @@ def test_volume_rejects_bad_headers(tmp_path):
         path.write_text(json.dumps(payload))
         with pytest.raises(FormatError):
             read_volume(path)
+
+
+def test_volume_header_named_raw_is_refused_before_writing(tmp_path):
+    vol = Volume3(dims=(2, 1, 1), spacing=(1, 1, 1), data=np.array([1.0, 2.0]))
+    with pytest.raises(FormatError, match="may not end in '.raw'"):
+        write_volume(vol, tmp_path / "x.raw")
+    assert list(tmp_path.iterdir()) == []
+    # any other header name round-trips, including one ending in '.raw.json'
+    write_volume(vol, tmp_path / "x.raw.json")
+    assert np.array_equal(read_volume(tmp_path / "x.raw.json").data, vol.data)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.raw.json", "x.raw.raw"]
 
 
 def test_volume_rejects_raw_size_mismatch(tmp_path):

@@ -1,11 +1,23 @@
 """Loss, analytic gradient, and Adam refinement."""
 
+import math
+
 import numpy as np
 import pytest
 
-from landreg.core import AffineParams9, PointSet, compose, decompose, transform_array
+from landreg.core import (
+    AffineParams9,
+    PointSet,
+    compose,
+    decompose,
+    rotation_x,
+    rotation_y,
+    rotation_z,
+    transform_array,
+)
 from landreg.errors import CorrespondenceError, DivergenceError, InvalidParameterError
 from landreg.refine import RefineConfig, RefineResult, loss, loss_gradient, refine
+from landreg.synth import SynthConfig, generate_cases
 from landreg.umeyama import umeyama_fit
 
 TETRA = np.array([[0.0, 0.0, 0.0], [20.0, 0.0, 0.0], [0.0, 20.0, 0.0], [0.0, 0.0, 20.0]])
@@ -35,6 +47,87 @@ def finite_difference(params, moving, fixed, h=1e-6):
             - loss(AffineParams9.from_vector(vm), moving, fixed)
         ) / (2 * h)
     return out
+
+
+# The array kernel and Adam loop that the scalar ones replaced, kept as an
+# oracle. Derivatives of the rotation come from the axis generators, chained
+# through the matrix product.
+_DRX = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+_DRY = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+_DRZ = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
+
+def oracle_loss_and_gradient(theta, src, dst, loss_epsilon=1e-12):
+    t = theta[0:3]
+    rx, ry, rz = theta[3:6]
+    s = theta[6:9]
+    mx, my, mz = rotation_x(rx), rotation_y(ry), rotation_z(rz)
+    rot = mz @ my @ mx
+    drot = (mz @ my @ (_DRX @ mx), mz @ (_DRY @ my) @ mx, (_DRZ @ mz) @ my @ mx)
+    scaled = src * s
+    resid = dst - (scaled @ rot.T + t)
+    dist = np.sqrt((resid * resid).sum(axis=1) + loss_epsilon)
+    n = src.shape[0]
+    gpred = -resid / (n * dist)[:, None]
+    grad = np.empty(9)
+    grad[0:3] = gpred.sum(axis=0)
+    for a in range(3):
+        grad[3 + a] = float(((gpred @ drot[a]) * scaled).sum())
+    grad[6:9] = ((gpred @ rot) * src).sum(axis=0)
+    return float(dist.mean()), grad
+
+
+def oracle_final_loss(init, moving, fixed, cfg=RefineConfig()):
+    src, dst = moving.coords, fixed.coords
+    theta = init.as_vector()
+    m = np.zeros(9)
+    v = np.zeros(9)
+    best, grad = oracle_loss_and_gradient(theta, src, dst, cfg.loss_epsilon)
+    for k in range(1, cfg.iterations + 1):
+        m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
+        v = cfg.beta2 * v + (1.0 - cfg.beta2) * grad * grad
+        m_hat = m / (1.0 - cfg.beta1**k)
+        v_hat = v / (1.0 - cfg.beta2**k)
+        theta = theta - cfg.step_size * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+        value, grad = oracle_loss_and_gradient(theta, src, dst, cfg.loss_epsilon)
+        best = min(best, value)
+    return best
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 12, 50])
+def test_loss_and_gradient_match_array_oracle(n):
+    rng = np.random.default_rng(n)
+    for _ in range(50):
+        params, moving, fixed = random_instance(rng, n)
+        params = AffineParams9(params.t, tuple(rng.uniform(-3, 3, 3)), params.s)
+        want_loss, want_grad = oracle_loss_and_gradient(params.as_vector(), moving.coords, fixed.coords)
+        assert abs(loss(params, moving, fixed) - want_loss) <= 1e-12 * want_loss
+        grad = loss_gradient(params, moving, fixed)
+        assert np.abs(grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
+
+
+def one_ulp_away(params, index):
+    v = params.as_vector()
+    v[index] = np.nextafter(v[index], np.inf)
+    return AffineParams9.from_vector(v)
+
+
+def test_refine_matches_array_oracle_on_nonuniform_cohort():
+    # Not bit for bit: Adam normalises each gradient component, so rounding
+    # noise in a near-zero component becomes a full-size step late in a run.
+    # Where the default 10k-step run is still descending, that noise can move
+    # the final loss by more than the 2e-3 mm tolerance; there the oracle must
+    # show the same sensitivity, reaching the new result from a start one ulp
+    # away while its own results spread wider than the tolerance.
+    for case in generate_cases(11, 20, SynthConfig(scale_mode="nonuniform")):
+        start = decompose(umeyama_fit(case.moving, case.fixed))
+        result = refine(start, case.moving, case.fixed)
+        assert result.final_loss <= result.initial_loss
+        want = oracle_final_loss(start, case.moving, case.fixed)
+        if abs(result.final_loss - want) > 2e-3:
+            nearby = [oracle_final_loss(one_ulp_away(start, i), case.moving, case.fixed) for i in range(9)]
+            assert max(nearby + [want]) - min(nearby + [want]) > 2e-3, case.case_id
+            assert min(abs(result.final_loss - x) for x in nearby) <= 2e-3, case.case_id
 
 
 def test_config_defaults():
@@ -88,6 +181,13 @@ def test_loss_is_mean_over_points():
     assert abs(value - 1.5) < 1e-6
 
 
+@pytest.mark.parametrize("loss_epsilon", [0.0, -1e-12, math.inf, math.nan])
+def test_loss_rejects_bad_epsilon(loss_epsilon):
+    for fn in (loss, loss_gradient):
+        with pytest.raises(InvalidParameterError):
+            fn(AffineParams9.identity(), PointSet(TETRA), PointSet(TETRA), loss_epsilon=loss_epsilon)
+
+
 def test_loss_size_mismatch():
     with pytest.raises(CorrespondenceError):
         loss(AffineParams9.identity(), PointSet(TETRA), PointSet(TETRA[:2]))
@@ -126,6 +226,7 @@ def test_refine_stationary_at_optimum():
     result = refine(AffineParams9.identity(), moving, moving, RefineConfig(iterations=50))
     assert result.params == AffineParams9.identity()
     assert result.final_loss <= result.initial_loss
+    assert result.best_iteration == 0
 
 
 def test_refine_beats_uniform_fit_on_diagonal_scaling():
@@ -191,6 +292,30 @@ def test_divergence_reported_with_iteration():
                 RefineConfig(iterations=5, step_size=1e150),
             )
     assert info.value.iteration >= 1
+
+
+def test_best_iteration_is_where_final_loss_was_reached():
+    rng = np.random.default_rng(0)
+    src = rng.uniform(-25, 25, size=(4, 3))
+    moving, fixed = PointSet(src), PointSet(src * np.array([1.0, 2.0, 3.0]))
+    start = decompose(umeyama_fit(moving, fixed))
+    result = refine(start, moving, fixed, RefineConfig(iterations=300))
+    assert 0 < result.best_iteration <= 300
+    # the run up to best_iteration ends exactly on the best iterate
+    head = refine(start, moving, fixed, RefineConfig(iterations=result.best_iteration))
+    assert head.loss_trace[-1] == (result.best_iteration, result.final_loss)
+    assert head.params == result.params
+
+
+def test_arithmetic_failure_is_divergence_with_iteration():
+    # A step this large overflows a rotation angle to infinity; cos(inf)
+    # raises where array arithmetic would have produced nan.
+    moving = PointSet(np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]))
+    fixed = PointSet(np.array([[1.0, 1.0, 0.0], [-1.0, -1.0, 0.0]]))
+    with pytest.raises(DivergenceError) as info:
+        refine(AffineParams9.identity(), moving, fixed, RefineConfig(iterations=20, step_size=1.5e308))
+    assert info.value.iteration == 2
+    assert isinstance(info.value.__cause__, ValueError)
 
 
 def test_refine_result_is_frozen():
