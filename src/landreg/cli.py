@@ -15,8 +15,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .core import Point3, Volume3, compose, decompose
 from .errors import CorrespondenceError, FormatError, InvalidDataError, LandregError
 from .evaluate import (
@@ -107,26 +105,24 @@ def _methods_arg(text: str) -> tuple[str, ...]:
     return names
 
 
-def cmd_edt(args: argparse.Namespace) -> int:
-    volume = read_volume(args.mask)
+def _read_mask(path: str) -> BinaryMask:
+    """Read a volume as a binary mask; values outside {0, 1} are a format error."""
+    volume = read_volume(path)
     try:
-        mask = BinaryMask(volume)
+        return BinaryMask(volume)
     except InvalidDataError as exc:
-        raise FormatError(f"{args.mask}: {exc}") from exc
-    write_volume(distance_transform(mask).volume, args.out)
+        raise FormatError(f"{path}: {exc}") from exc
+
+
+def cmd_edt(args: argparse.Namespace) -> int:
+    write_volume(distance_transform(_read_mask(args.mask)).volume, args.out)
     return 0
 
 
 def cmd_make_label(args: argparse.Namespace) -> int:
-    nx, ny, nz = args.dims
-    if min(nx, ny, nz) <= 0:
+    if min(args.dims) <= 0:
         raise FormatError(f"dims must be positive, got {args.dims}")
-    template = Volume3(
-        dims=(nx, ny, nz),
-        spacing=args.spacing,
-        origin=Point3(*args.origin),
-        data=np.zeros(nx * ny * nz),
-    )
+    template = Volume3(dims=args.dims, spacing=args.spacing, origin=Point3(*args.origin))
     label = make_label(Point3(*args.landmark), template)
     write_volume(label.volume, args.out)
     return 0
@@ -166,15 +162,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    volume = read_volume(args.volume)
-    print("name,x,y,z")
+    # compute everything before printing, so a failure leaves stdout empty
     if args.mode == "landmark":
-        point = recover_landmark(volume)
-        print(f"landmark,{point.x!r},{point.y!r},{point.z!r}")
+        rows = [("landmark", recover_landmark(read_volume(args.volume)))]
     else:
-        lo, hi = extract_extremes(BinaryMask(volume), axis=_AXES[args.axis])
-        print(f"lo,{lo.x!r},{lo.y!r},{lo.z!r}")
-        print(f"hi,{hi.x!r},{hi.y!r},{hi.z!r}")
+        lo, hi = extract_extremes(_read_mask(args.volume), axis=_AXES[args.axis])
+        rows = [("lo", lo), ("hi", hi)]
+    print("name,x,y,z")
+    for name, point in rows:
+        print(f"{name},{point.x!r},{point.y!r},{point.z!r}")
     return 0
 
 

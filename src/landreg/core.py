@@ -151,7 +151,7 @@ class Volume3:
         if self.data is None:
             data = np.zeros(n)
         else:
-            data = np.asarray(self.data, dtype=float).reshape(-1).copy()
+            data = np.array(self.data, dtype=float).reshape(-1)  # the one owned copy
         if data.size != n:
             raise InvalidParameterError(
                 f"data length {data.size} does not match dims product {n}"

@@ -198,7 +198,7 @@ def read_volume(path: str | os.PathLike) -> Volume3:
             path,
             f"raw file {raw_name!r} holds {len(blob)} bytes, expected {n * _RAW_DTYPE.itemsize}",
         )
-        data = np.frombuffer(blob, dtype=_RAW_DTYPE).astype(float)
+        data = np.frombuffer(blob, dtype=_RAW_DTYPE)  # Volume3 widens it in its one copy
         return Volume3(dims=dims, spacing=spacing, origin=Point3(*origin), data=data)
 
 

@@ -1,11 +1,13 @@
 """Distance maps, label maps, and landmark extraction on voxel grids.
 
-The distance transform is the exact Euclidean one, computed per axis with
-the lower-envelope-of-parabolas scan over squared distances. Distances are
-measured between voxel centers in world units, so anisotropic spacing is
-honored. Label maps rescale a landmark's distance map into (0, 1] with
-``exp(-10 * M / max(M))``, making the landmark voxel exactly 1 and the far
-corner ``exp(-10)``. Recovery is the inverse: the argmax voxel center.
+The distance transform is the exact Euclidean one: per axis, the minimum over
+all sites of a line, about n operations per voxel per pass for an axis of n
+voxels. It beats a per-line lower-envelope scan up to about 1000 voxels per
+axis and loses from about 1500-2000. Distances between voxel centers are in
+world units, so anisotropic spacing is honored. Label maps rescale a closed
+form of a landmark's distance into (0, 1] with ``exp(-10 * M / max(M))``:
+the landmark voxel is exactly 1, the far corner ``exp(-10)``. Recovery is the
+inverse: the argmax voxel center.
 """
 
 from __future__ import annotations
@@ -41,10 +43,6 @@ class BinaryMask:
                 f"mask contains {bad.size} voxels outside {{0, 1}} (first: {bad.flat[0]!r})"
             )
 
-    @property
-    def feature_count(self) -> int:
-        return int(np.count_nonzero(self.volume.data))
-
 
 @dataclass(frozen=True)
 class DistanceMap:
@@ -71,70 +69,26 @@ class LabelMap:
             raise InvalidDataError("label map values must lie in [exp(-10), 1]")
 
 
-def _envelope_pass(f: np.ndarray, step: float) -> np.ndarray:
-    """One 1D pass of the squared-distance transform.
+def _min_pass(f: np.ndarray, step: float, axis: int) -> np.ndarray:
+    """``out[p] = min_q ((p - q) * step)^2 + f[q]`` along ``axis``, all lines at once.
 
-    ``f`` holds squared distances at sites i * step (may contain +inf for
-    absent sites). Returns ``min_q ((p - q) * step)^2 + f[q]`` for every p,
-    via the linear-time lower envelope of the parabolas rooted at the
-    finite sites.
+    ``f`` holds squared distances at sites q * step, +inf where no site is.
     """
-    n = f.size
-    out = np.full(n, np.inf)
-    v = np.zeros(n, dtype=np.intp)  # parabola site index per envelope segment
-    z = np.zeros(n + 1)  # segment boundaries in world units
-    k = -1
-    s = 0.0
-    for q in range(n):
-        fq = f[q]
-        if fq == np.inf:
-            continue
-        x = q * step
-        while k >= 0:
-            xv = v[k] * step
-            s = (fq + x * x - f[v[k]] - xv * xv) / (2.0 * (x - xv))
-            if s <= z[k]:
-                k -= 1
-            else:
-                break
-        k += 1
-        v[k] = q
-        z[k] = -np.inf if k == 0 else s
-        z[k + 1] = np.inf
-    if k < 0:
-        return out  # no finite site on this line
-    j = 0
-    for q in range(n):
-        x = q * step
-        while z[j + 1] < x:
-            j += 1
-        d = (q - v[j]) * step
-        out[q] = d * d + f[v[j]]
-    return out
-
-
-def _squared_edt(feature3d: np.ndarray, spacing: tuple[float, float, float]) -> np.ndarray:
-    """Exact squared EDT of a (nz, ny, nx) boolean feature array."""
-    sx, sy, sz = spacing
-    nz, ny, nx = feature3d.shape
-    d2 = np.where(feature3d, 0.0, np.inf)
-    for iz in range(nz):  # scan along x
-        for iy in range(ny):
-            d2[iz, iy, :] = _envelope_pass(d2[iz, iy, :], sx)
-    for iz in range(nz):  # along y
-        for ix in range(nx):
-            d2[iz, :, ix] = _envelope_pass(d2[iz, :, ix], sy)
-    for iy in range(ny):  # along z
-        for ix in range(nx):
-            d2[:, iy, ix] = _envelope_pass(d2[:, iy, ix], sz)
-    return d2
+    g = np.moveaxis(f, axis, -1)  # view with the lines along the last axis
+    n = g.shape[-1]
+    out = np.empty_like(g)
+    for p in range(n):
+        d = (p - np.arange(n)) * step
+        out[..., p] = (g + d * d).min(axis=-1)
+    return np.moveaxis(out, -1, axis)
 
 
 def distance_transform(mask: BinaryMask) -> DistanceMap:
     """Exact Euclidean distance (mm) from every voxel to the nearest feature.
 
-    Runs three separable lower-envelope passes over squared distances and
-    takes one square root at the end, so the result matches a brute-force
+    Runs three separable minimum passes over squared distances (x, then y,
+    then z), about n operations per voxel for an axis of n voxels, and takes
+    one square root at the end, so the result matches a brute-force
     nearest-feature scan to floating-point accuracy.
 
     Raises :class:`NoFeatureError` if the mask has no feature voxel.
@@ -143,7 +97,10 @@ def distance_transform(mask: BinaryMask) -> DistanceMap:
     feature = vol.data3d() > 0.5
     if not feature.any():
         raise NoFeatureError("mask contains no feature voxels")
-    d2 = _squared_edt(feature, vol.spacing)
+    sx, sy, sz = vol.spacing
+    d2 = np.where(feature, 0.0, np.inf)
+    for step, axis in ((sx, 2), (sy, 1), (sz, 0)):  # (nz, ny, nx) layout: x first
+        d2 = _min_pass(d2, step, axis)
     return DistanceMap(vol.with_data(np.sqrt(d2)))
 
 
@@ -151,9 +108,10 @@ def make_label(landmark: Point3, template: Volume3) -> LabelMap:
     """Build the normalized landmark map ``exp(-10 * M / max(M))``.
 
     The landmark is snapped to the nearest voxel center of ``template``
-    (whose data is ignored, only its geometry is used), M is the exact
-    distance map of that single-voxel feature, and max(M) is the global
-    maximum over the volume. The landmark voxel gets exactly 1.
+    (whose data is ignored, only its geometry is used), M is the distance
+    from that center in closed form, summed as the distance transform sums
+    it, z + (y + x), so it equals that voxel's distance map bit for bit, and
+    max(M) is the global maximum. The landmark voxel gets exactly 1.
 
     Raises :class:`OutOfBoundsError` if the landmark snaps outside the
     grid, and :class:`DegenerateGeometryError` on a single-voxel volume,
@@ -165,9 +123,11 @@ def make_label(landmark: Point3, template: Volume3) -> LabelMap:
             f"landmark ({landmark.x}, {landmark.y}, {landmark.z}) mm falls outside "
             f"the volume (nearest voxel ({ix}, {iy}, {iz}) of dims {template.dims})"
         )
-    seed = np.zeros(template.dims[::-1], dtype=bool)
-    seed[iz, iy, ix] = True
-    dist = np.sqrt(_squared_edt(seed, template.spacing))
+    nx, ny, nz = template.dims
+    z, y, x = np.ogrid[:nz, :ny, :nx]
+    sx, sy, sz = template.spacing
+    dx, dy, dz = (x - ix) * sx, (y - iy) * sy, (z - iz) * sz
+    dist = np.sqrt(dz * dz + (dy * dy + dx * dx))
     peak = dist.max()
     if peak == 0.0:
         raise DegenerateGeometryError(

@@ -51,10 +51,16 @@ def test_edt_missing_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_edt_non_binary_volume_is_format_error(tmp_path):
+@pytest.mark.parametrize("command", ["edt", "extract"])
+def test_edt_non_binary_volume_is_format_error(tmp_path, capsys, command):
     vol = tmp_path / "vol.json"
     write_volume(Volume3(dims=(2, 1, 1), spacing=(1, 1, 1), data=np.array([0.25, 1.0])), vol)
-    assert main(["edt", str(vol), str(tmp_path / "out.json")]) == 2
+    argv = {
+        "edt": ["edt", str(vol), str(tmp_path / "out.json")],
+        "extract": ["extract", str(vol), "--mode", "extremes"],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_edt_empty_mask(tmp_path):
@@ -254,10 +260,22 @@ def test_extract_extremes(tmp_path, capsys):
     assert out == "name,x,y,z\nlo,2.0,0.0,0.0\nhi,10.0,0.0,0.0\n"
 
 
-def test_extract_extremes_empty_mask(tmp_path):
+def test_extract_extremes_empty_mask(tmp_path, capsys):
     mask = tmp_path / "mask.json"
     write_mask(mask, (2, 2, 2), (1, 1, 1), [])
     assert main(["extract", str(mask), "--mode", "extremes"]) == 3
+    assert capsys.readouterr().out == ""
+
+
+def test_extract_nan_heatmap(tmp_path, capsys):
+    vol = tmp_path / "vol.json"
+    data = np.zeros(8)
+    data[3] = np.nan
+    write_volume(Volume3(dims=(2, 2, 2), spacing=(1, 1, 1), data=data), vol)
+    assert main(["extract", str(vol)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
 
 
 def test_synth_layout_and_determinism(tmp_path, capsys):

@@ -64,6 +64,16 @@ def test_pointset_does_not_alias_input():
     assert ps.coords[0, 0] == 0.0
 
 
+def test_volume_does_not_alias_input():
+    arr = np.zeros(8)
+    vol = Volume3(dims=(2, 2, 2), spacing=(1, 1, 1), data=arr)
+    assert not np.shares_memory(vol.data, arr)
+    arr[0] = 9.0
+    assert vol.data[0] == 0.0
+    with pytest.raises(ValueError):
+        vol.data[0] = 1.0
+
+
 def test_pointset_names_length_checked():
     with pytest.raises(InvalidParameterError):
         PointSet(np.zeros((2, 3)), names=("only",))

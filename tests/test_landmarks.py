@@ -98,6 +98,41 @@ def test_edt_matches_brute_force():
     assert worst <= 1e-9
 
 
+@pytest.mark.parametrize("density", [None, 0.3])
+def test_edt_matches_scipy(density):
+    """Axes longer than the brute-force checks; scipy measures to the nearest zero."""
+    ndimage = pytest.importorskip("scipy.ndimage")
+    rng = np.random.default_rng(404)
+    dims, spacing = (40, 33, 21), (0.8, 1.3, 2.5)
+    n = dims[0] * dims[1] * dims[2]
+    if density is None:  # a few seeds: long empty lines in every pass
+        data = np.zeros(n)
+        data[rng.integers(0, n, size=3)] = 1.0
+    else:
+        data = (rng.random(n) < density).astype(float)
+    vol = Volume3(dims=dims, spacing=spacing, data=data)
+    got = distance_transform(BinaryMask(vol)).volume.data3d()
+    want = ndimage.distance_transform_edt(vol.data3d() == 0.0, sampling=spacing[::-1])
+    assert np.abs(got - want).max() <= 1e-9
+
+
+def test_make_label_is_edt_of_its_voxel():
+    rng = np.random.default_rng(505)
+    for _ in range(200):
+        dims = tuple(int(d) for d in rng.integers(1, 13, size=3))
+        if dims == (1, 1, 1):
+            continue
+        spacing = tuple(float(s) for s in rng.uniform(0.3, 4.0, size=3))
+        origin = Point3(*rng.uniform(-30.0, 30.0, size=3))
+        template = Volume3(dims=dims, spacing=spacing, origin=origin)
+        voxel = tuple(int(rng.integers(0, d)) for d in dims)
+        seed = np.zeros(template.n_voxels)
+        seed[template.linear_index(*voxel)] = 1.0
+        d = distance_transform(BinaryMask(template.with_data(seed))).volume.data
+        label = make_label(template.voxel_center(*voxel), template)
+        assert np.array_equal(label.volume.data, np.exp(-10.0 * (d / d.max())))
+
+
 def test_edt_commutes_with_axis_permutation():
     rng = np.random.default_rng(55)
     dims = (5, 4, 3)
