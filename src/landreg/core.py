@@ -289,6 +289,10 @@ class AffineMatrix:
     def __repr__(self) -> str:
         return f"AffineMatrix({self._m.tolist()})"
 
+    def __reduce__(self):
+        # rebuild through __init__, so an unpickled matrix is read-only again
+        return (AffineMatrix, (self._m,))
+
 
 def rotation_x(angle: float) -> np.ndarray:
     c, s = math.cos(angle), math.sin(angle)

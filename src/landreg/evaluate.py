@@ -10,6 +10,7 @@ regularized incomplete beta function, accurate to well below 1e-10.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -259,6 +260,88 @@ class MethodComparison:
         return "\n".join(lines) + "\n"
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _run_case(case: EvalCase, methods: Sequence[Method]) -> list[RegistrationReport]:
+    """Every method on one case: its transform, fit TRE and hold-out TRE.
+
+    A library error is re-raised as the same object, its message prefixed
+    with the case id and method name.
+    """
+    reports = []
+    for name, fitter in methods:
+        try:
+            transform = fitter(case.moving, case.fixed)
+            fit_stat = tre(transform, case.moving, case.fixed)
+            holdout_stat = None
+            if case.moving_eval is not None and case.fixed_eval is not None:
+                holdout_stat = tre(transform, case.moving_eval, case.fixed_eval)
+        except LandregError as exc:
+            exc.args = (f"[case {case.case_id}, method {name}] {exc}",)
+            raise
+        reports.append(
+            RegistrationReport(
+                case_id=case.case_id,
+                method=name,
+                transform=transform,
+                fit_tre=fit_stat,
+                holdout_tre=holdout_stat,
+            )
+        )
+    return reports
+
+
+# The cohort of a forked worker process, installed right after the fork so
+# that the fitters (closures, lambdas) are inherited and never pickled.
+_worker_cohort: tuple[Sequence[EvalCase], Sequence[Method]] | None = None
+
+
+def _install_worker_cohort(cases: Sequence[EvalCase], methods: Sequence[Method]) -> None:
+    global _worker_cohort
+    _worker_cohort = (cases, methods)
+
+
+def _run_worker_case(index: int) -> list[RegistrationReport] | None:
+    """Case ``index`` of the worker's cohort; None marks a failure for the parent to re-run."""
+    cases, methods = _worker_cohort
+    try:
+        return _run_case(cases[index], methods)
+    except Exception:
+        return None
+
+
+def _run_leading_cases_forked(
+    cases: Sequence[EvalCase], methods: Sequence[Method], workers: int
+) -> list[list[RegistrationReport]]:
+    """Reports of the cases before the first failing one, run on forked workers.
+
+    Only case indices and reports cross between processes. A worker that
+    dies raises ``BrokenProcessPool``.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    done: list[list[RegistrationReport]] = []
+    with ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_install_worker_cohort,
+        initargs=(cases, methods),
+    ) as pool:
+        for reports in pool.map(_run_worker_case, range(len(cases))):
+            if reports is None:
+                pool.shutdown(cancel_futures=True)
+                break
+            done.append(reports)
+    return done
+
+
 def compare_methods(cases: Sequence[EvalCase], methods: Sequence[Method]) -> MethodComparison:
     """Run every method on every case and aggregate TRE across cases.
 
@@ -268,10 +351,13 @@ def compare_methods(cases: Sequence[EvalCase], methods: Sequence[Method]) -> Met
     means between methods; a degenerate pair (identical per-case results)
     is recorded as None rather than raising.
 
-    A library error from the underlying fits is re-raised as the same
-    object, its message prefixed with the case id and method name; any
-    other exception propagates untouched. Ordering is deterministic:
-    cases and methods in the given order.
+    Cases run on forked worker processes, one per usable CPU, and are
+    assembled in case order, so the result equals a serial run. A case
+    that fails in a worker is re-run in this process, the earliest first,
+    so its error is raised here: a library error as the same object, its
+    message prefixed with the case id and method name; any other exception
+    propagates untouched. Ordering is deterministic: cases and methods in
+    the given order.
     """
     if not cases:
         raise InsufficientSampleError("compare_methods needs at least one case")
@@ -279,36 +365,21 @@ def compare_methods(cases: Sequence[EvalCase], methods: Sequence[Method]) -> Met
     if len(set(names)) != len(names):
         raise CorrespondenceError(f"duplicate method names in {names}")
 
-    reports: list[RegistrationReport] = []
+    workers = min(len(cases), _usable_cpus())
+    forked = workers > 1 and hasattr(os, "fork")
+    per_case = _run_leading_cases_forked(cases, methods, workers) if forked else []
+    per_case += [_run_case(case, methods) for case in cases[len(per_case):]]
+    reports = [report for case_reports in per_case for report in case_reports]
+
     per_method_fit: dict[str, list[float]] = {name: [] for name in names}
     per_method_holdout: dict[str, list[float]] = {name: [] for name in names}
+    for report in reports:
+        per_method_fit[report.method].append(report.fit_tre.mean)
+        if report.holdout_tre is not None:
+            per_method_holdout[report.method].append(report.holdout_tre.mean)
     all_have_holdout = all(
         case.moving_eval is not None and case.fixed_eval is not None for case in cases
     )
-
-    for case in cases:
-        for name, fitter in methods:
-            try:
-                transform = fitter(case.moving, case.fixed)
-                fit_stat = tre(transform, case.moving, case.fixed)
-                holdout_stat = None
-                if case.moving_eval is not None and case.fixed_eval is not None:
-                    holdout_stat = tre(transform, case.moving_eval, case.fixed_eval)
-            except LandregError as exc:
-                exc.args = (f"[case {case.case_id}, method {name}] {exc}",)
-                raise
-            reports.append(
-                RegistrationReport(
-                    case_id=case.case_id,
-                    method=name,
-                    transform=transform,
-                    fit_tre=fit_stat,
-                    holdout_tre=holdout_stat,
-                )
-            )
-            per_method_fit[name].append(fit_stat.mean)
-            if holdout_stat is not None:
-                per_method_holdout[name].append(holdout_stat.mean)
 
     fit_stats = {name: TREStat.from_values(per_method_fit[name]) for name in names}
     holdout_stats = (

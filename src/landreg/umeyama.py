@@ -38,12 +38,21 @@ def umeyama_fit(moving: PointSet, fixed: PointSet) -> AffineMatrix:
         )
     src = moving.coords
     dst = fixed.coords
-    mu_src = src.mean(axis=0)
-    mu_dst = dst.mean(axis=0)
-    src_c = src - mu_src
-    dst_c = dst - mu_dst
+    # finite coordinates near the float range overflow here; that is
+    # reported below as one error rather than as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu_src = src.mean(axis=0)
+        mu_dst = dst.mean(axis=0)
+        src_c = src - mu_src
+        dst_c = dst - mu_dst
+        cov = dst_c.T @ src_c / n
+        var_src = float((src_c * src_c).sum()) / n
+    if not (np.isfinite(cov).all() and np.isfinite(var_src)):
+        raise DegenerateConfigurationError(
+            "coordinates too large: the cross-covariance or the moving-point "
+            "variance overflows the float range"
+        )
 
-    cov = dst_c.T @ src_c / n
     u, d, vt = np.linalg.svd(cov)
     if d[1] <= RANK_RTOL * d[0]:
         raise DegenerateConfigurationError(
@@ -55,7 +64,6 @@ def umeyama_fit(moving: PointSet, fixed: PointSet) -> AffineMatrix:
         sign[2] = -1.0
     rot = u @ np.diag(sign) @ vt
 
-    var_src = float((src_c * src_c).sum()) / n
     scale = float((d * sign).sum()) / var_src
     if scale <= 0.0:
         raise DegenerateConfigurationError(

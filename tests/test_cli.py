@@ -3,10 +3,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import landreg
+from landreg import evaluate
 from landreg.cli import main
 from landreg.core import AffineMatrix, Point3, PointSet, Volume3, compose
 from landreg.fileio import read_points, read_transform, read_volume, write_points, write_transform, write_volume
@@ -184,6 +188,28 @@ def test_register_collinear_points(tmp_path):
     assert main(["register", str(moving), str(moving), str(tmp_path / "t.json")]) == 5
 
 
+# finite coordinates whose squares overflow the float range
+HUGE = 1e200 * np.array([[1.0, 1.0, 1.0], [-1.0, 1.0, -1.0], [1.0, -1.0, -1.0], [-1.0, -1.0, 1.0]])
+
+
+@pytest.mark.parametrize("command", ["register", "compare"])
+def test_overflowing_coordinates_are_numerical_degeneracy(tmp_path, capsys, command):
+    case_dir = tmp_path / "cases" / "case_000"
+    case_dir.mkdir(parents=True)
+    moving, fixed = case_dir / "moving.csv", case_dir / "fixed.csv"
+    write_points(PointSet(HUGE), moving)
+    write_points(PointSet(HUGE), fixed)
+    argv = {
+        "register": ["register", str(moving), str(fixed), str(tmp_path / "t.json")],
+        "compare": ["compare", str(tmp_path / "cases")],
+    }[command]
+    assert main(argv) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "overflows" in captured.err
+
+
 def test_register_trace_requires_refine(tmp_path):
     _, moving, fixed = case_files(tmp_path)
     code = main([
@@ -342,6 +368,25 @@ def test_compare_nonuniform_ordering(tmp_path, capsys):
     by_name = {r.split(",")[0]: float(r.split(",")[1]) for r in rows}
     assert by_name["umeyama+refine"] < by_name["umeyama"] < by_name["identity"]
     assert "p =" in capsys.readouterr().out
+
+
+def test_compare_prints_the_table_once_through_a_pipe(tmp_path, capsys, monkeypatch):
+    case_dir = tmp_path / "cases"
+    main(["synth", str(case_dir), "--seed", "11", "--cases", "4", "--scale-mode", "nonuniform", "--noise", "1"])
+    monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 1)
+    capsys.readouterr()
+    assert main(["compare", str(case_dir)]) == 0
+    one_worker = capsys.readouterr().out.encode()
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(landreg.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    piped = subprocess.run(
+        [sys.executable, "-m", "landreg.cli", "compare", str(case_dir)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, timeout=120, check=False,
+    )
+    assert (piped.returncode, piped.stderr) == (0, b"")
+    assert piped.stdout == one_worker
+    assert one_worker.count(b"registration performance") == 1
 
 
 def test_compare_empty_directory(tmp_path):

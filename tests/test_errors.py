@@ -127,6 +127,7 @@ def _dump(value):
 
 
 IDENTITY_ENTRIES = [float(v) for v in np.eye(4).reshape(-1)]
+HUGE_CSV = b"name,x,y,z\np0,1e308,1e308,1e308\np1,-1e308,1e308,-1e308\np2,1e308,-1e308,-1e308\np3,-1e308,-1e308,1e308\n"
 
 
 @st.composite
@@ -211,6 +212,9 @@ def hostile_requests(draw):
 @example(request=("evaluate", "t.json", _dump({"matrix": ["1e0"] + IDENTITY_ENTRIES[1:]})))
 @example(request=("extract", "vol.json", _dump({**HEADER, "spacing": ["1", True, "2.5"]})))
 @example(request=("edt", "vol.json", _dump({**HEADER, "origin": ["1e0", 0.0, False]})))
+# finite coordinates whose moments overflow the closed-form fit
+@example(request=("register", "moving.csv", HUGE_CSV))
+@example(request=("compare", "cases/case_000/fixed.csv", HUGE_CSV))
 def test_hostile_files_exit_with_contract_code(request):
     command, target, content = request
     with tempfile.TemporaryDirectory() as root:

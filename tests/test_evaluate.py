@@ -1,5 +1,8 @@
 """TRE statistics, the paired t test, and the method comparison harness."""
 
+import os
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 import scipy.special
@@ -15,6 +18,7 @@ from landreg.errors import (
     InsufficientSampleError,
     InvalidParameterError,
 )
+from landreg import evaluate
 from landreg.evaluate import (
     EvalCase,
     TREStat,
@@ -186,25 +190,116 @@ def test_compare_annotates_errors_with_case_id():
         compare_methods([bad], [umeyama_method()])
 
 
-def test_compare_keeps_error_class_and_attributes():
-    def diverging(moving, fixed):
-        raise DivergenceError("boom", iteration=7)
+@pytest.fixture
+def several_cpus(monkeypatch):
+    """Pretend four usable CPUs, so cohorts of two or more cases run on forked workers."""
+    monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 4)
+
+
+def failing_at_last(case_ids, error):
+    """Aligned cases with ``case_ids`` and a method that raises ``error`` on the last one only."""
+    cases = [aligned_case(case_id) for case_id in case_ids]
+    last = cases[-1].fixed
+
+    def fit(moving, fixed):
+        if fixed is last:
+            raise error()
+        return AffineMatrix.identity()
+
+    return cases, fit
+
+
+# One case runs in this process; in three, the last fails in a forked worker.
+COHORTS = pytest.mark.parametrize("case_ids", [["c7"], ["c0", "c1", "c7"]], ids=["one-case", "three-cases"])
+
+
+@COHORTS
+def test_compare_keeps_error_class_and_attributes(case_ids, several_cpus):
+    cases, diverging = failing_at_last(case_ids, lambda: DivergenceError("boom", iteration=7))
 
     with pytest.raises(DivergenceError) as info:
-        compare_methods([aligned_case("c7")], [("diverging", diverging)])
+        compare_methods(cases, [("diverging", diverging)])
     assert info.value.iteration == 7
     assert str(info.value) == "[case c7, method diverging] boom"
 
 
-def test_compare_lets_foreign_errors_propagate_untouched():
+@COHORTS
+def test_compare_lets_foreign_errors_propagate_untouched(case_ids, several_cpus):
     original = UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
-
-    def broken(moving, fixed):
-        raise original
+    cases, broken = failing_at_last(case_ids, lambda: original)
 
     with pytest.raises(UnicodeDecodeError) as info:
-        compare_methods([aligned_case()], [("broken", broken)])
+        compare_methods(cases, [("broken", broken)])
     assert info.value is original
+
+
+def test_compare_raises_the_earliest_failing_case(several_cpus):
+    cases = [aligned_case(f"c{i}") for i in range(4)]
+    failing = {id(cases[1].fixed): 1, id(cases[2].fixed): 2}
+
+    def diverging(moving, fixed):
+        if id(fixed) in failing:
+            raise DivergenceError("boom", iteration=failing[id(fixed)])
+        return AffineMatrix.identity()
+
+    with pytest.raises(DivergenceError) as info:
+        compare_methods(cases, [("diverging", diverging)])
+    assert info.value.iteration == 1
+    assert str(info.value) == "[case c1, method diverging] boom"
+
+
+def test_compare_recovers_a_case_that_fails_only_in_a_worker(several_cpus):
+    cases = [aligned_case(f"c{i}") for i in range(3)]
+    parent = os.getpid()
+
+    def flaky(moving, fixed):
+        if os.getpid() != parent and fixed is cases[1].fixed:
+            raise MemoryError
+        return AffineMatrix.identity()
+
+    table = compare_methods(cases, [("flaky", flaky)])
+    assert [report.case_id for report in table.reports] == ["c0", "c1", "c2"]
+
+
+def test_compare_reports_a_dead_worker(several_cpus):
+    parent = os.getpid()
+
+    def dying(moving, fixed):
+        if os.getpid() != parent:
+            os._exit(1)
+        return AffineMatrix.identity()
+
+    with pytest.raises(BrokenProcessPool):
+        compare_methods([aligned_case("a"), aligned_case("b")], [("dying", dying)])
+
+
+def test_compare_forked_workers_equal_one_worker(monkeypatch):
+    cfg = SynthConfig(scale_mode="nonuniform", noise_sigma=1.0)
+    cases = [c.as_eval_case() for c in generate_cases(11, 6, cfg)]
+    methods = [identity_method(), umeyama_method(), refined_method(RefineConfig(iterations=500))]
+    forked_calls = []
+    run_forked = evaluate._run_leading_cases_forked
+
+    def spy(*args):
+        forked_calls.append(run_forked(*args))
+        return forked_calls[-1]
+
+    monkeypatch.setattr(evaluate, "_run_leading_cases_forked", spy)
+    monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 3)
+    forked = compare_methods(cases, methods)
+    monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 1)
+    serial = compare_methods(cases, methods)
+
+    assert [len(done) for done in forked_calls] == [len(cases)]
+    assert len(forked.reports) == len(serial.reports) == len(cases) * len(methods)
+    for a, b in zip(forked.reports, serial.reports):
+        assert (a.case_id, a.method) == (b.case_id, b.method)
+        assert np.array_equal(a.transform.matrix, b.transform.matrix)
+        assert not a.transform.matrix.flags.writeable
+        assert (a.fit_tre, a.holdout_tre) == (b.fit_tre, b.holdout_tre)
+    assert forked.ttests == serial.ttests
+    assert forked.to_csv() == serial.to_csv()
+    assert forked.to_text() == serial.to_text()
 
 
 def test_compare_requires_cases_and_unique_names():
