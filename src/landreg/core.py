@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (
     CorrespondenceError,
     DecompositionError,
+    DegenerateConfigurationError,
     InvalidParameterError,
 )
 
@@ -240,8 +241,9 @@ class AffineParams9:
 class AffineMatrix:
     """A 4x4 homogeneous transform with bottom row (0, 0, 0, 1).
 
-    The upper-left 3x3 linear block must be invertible. Instances are
-    immutable.
+    The upper-left 3x3 linear block must be invertible, with a determinant
+    inside the float range (:class:`DegenerateConfigurationError` if it
+    overflows). Instances are immutable.
     """
 
     __slots__ = ("_m",)
@@ -254,8 +256,14 @@ class AffineMatrix:
             raise InvalidParameterError("affine matrix contains non-finite entries")
         if not np.array_equal(arr[3], _BOTTOM_ROW):
             raise InvalidParameterError(f"bottom row must be (0, 0, 0, 1), got {arr[3]}")
-        if np.linalg.det(arr[:3, :3]) == 0.0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = np.linalg.det(arr[:3, :3])
+        if det == 0.0:
             raise InvalidParameterError("linear part of affine matrix is singular")
+        if not math.isfinite(det):
+            raise DegenerateConfigurationError(
+                "linear part of affine matrix is too large: its determinant overflows the float range"
+            )
         arr = arr.copy()
         arr.flags.writeable = False
         self._m = arr
@@ -338,10 +346,17 @@ def decompose(matrix: AffineMatrix) -> AffineParams9:
 
     Raises :class:`DecompositionError` for reflections, for shear above
     ``SHEAR_TOLERANCE``, and at gimbal lock (|ry| = pi/2), where Euler
-    angles are not uniquely recoverable.
+    angles are not uniquely recoverable, and
+    :class:`DegenerateConfigurationError` when a scale overflows the float
+    range.
     """
     a = matrix.linear
-    scales = np.sqrt((a * a).sum(axis=0))
+    with np.errstate(over="ignore"):
+        scales = np.sqrt((a * a).sum(axis=0))
+    if not np.isfinite(scales).all():
+        raise DegenerateConfigurationError(
+            "linear part is too large: a column's squared norm overflows the float range"
+        )
     if np.any(scales == 0.0):
         raise DecompositionError("linear part has a zero column; no positive scale exists")
     rot = a / scales

@@ -46,7 +46,8 @@ class CorrespondenceError(LandregError):
 
 
 class DegenerateConfigurationError(LandregError):
-    """Point configuration too degenerate to fit (too few or collinear points)."""
+    """Point configuration too degenerate to fit (too few or collinear points),
+    or so large that the fit, its determinant or scales, or the TRE overflow."""
 
     exit_code = 5
 

@@ -27,6 +27,7 @@ from .core import (
 from .errors import (
     ConvergenceError,
     CorrespondenceError,
+    DegenerateConfigurationError,
     DegenerateTestError,
     InsufficientSampleError,
     InvalidParameterError,
@@ -54,13 +55,19 @@ class TREStat:
 
     @classmethod
     def from_values(cls, values: Sequence[float]) -> "TREStat":
+        """Summarize TRE values; :class:`DegenerateConfigurationError` if any
+        value, the mean or the std is not finite (an overflowed distance)."""
         vals = tuple(float(v) for v in values)
         if not vals:
             raise InsufficientSampleError("cannot summarize an empty TRE list")
-        mean = float(np.mean(vals))
-        if len(vals) == 1:
-            return cls(mean=mean, std=0.0, per_case=vals, degenerate=True)
-        return cls(mean=mean, std=float(np.std(vals, ddof=1)), per_case=vals)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = float(np.mean(vals))
+            std = 0.0 if len(vals) == 1 else float(np.std(vals, ddof=1))
+        if not (math.isfinite(mean) and math.isfinite(std)):
+            raise DegenerateConfigurationError(
+                "target registration error is too large: it overflows the float range"
+            )
+        return cls(mean=mean, std=std, per_case=vals, degenerate=len(vals) == 1)
 
     def __str__(self) -> str:
         return f"{self.mean:.3f} ± {self.std:.3f} mm"
@@ -99,8 +106,10 @@ def tre(transform: AffineMatrix, moving_eval: PointSet, fixed_eval: PointSet) ->
     std is 0 and the result is flagged degenerate.
     """
     require_correspondence(moving_eval, fixed_eval)
-    delta = fixed_eval.coords - transform_array(transform, moving_eval.coords)
-    return TREStat.from_values(np.sqrt((delta * delta).sum(axis=1)))
+    with np.errstate(over="ignore", invalid="ignore"):  # TREStat reports overflow
+        delta = fixed_eval.coords - transform_array(transform, moving_eval.coords)
+        values = np.sqrt((delta * delta).sum(axis=1))
+    return TREStat.from_values(values)
 
 
 def _log_beta(a: float, b: float) -> float:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -208,6 +209,42 @@ def test_overflowing_coordinates_are_numerical_degeneracy(tmp_path, capsys, comm
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "overflows" in captured.err
+
+
+# a 10 mm tetrahedron and fixed points far enough out that the closed-form
+# fit succeeds but its determinant, scales or TRE overflow downstream
+TETRA = 10.0 * np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+SIGNS = HUGE / 1e200
+
+
+@pytest.mark.parametrize(
+    "command, magnitude",
+    [("register", 1e160), ("register --refine", 1e160), ("evaluate", 1e160), ("compare", 1e308)],
+)
+def test_overflow_after_the_fit_is_numerical_degeneracy(tmp_path, capsys, command, magnitude):
+    case_dir = tmp_path / "cases" / "case_000"
+    case_dir.mkdir(parents=True)
+    moving, fixed = case_dir / "moving.csv", case_dir / "fixed.csv"
+    write_points(PointSet(TETRA), moving)
+    write_points(PointSet(magnitude * SIGNS), fixed)
+    identity, out = tmp_path / "identity.json", tmp_path / "t.json"
+    write_transform(AffineMatrix.identity(), identity)
+    argv = {
+        "register": ["register", str(moving), str(fixed), str(out)],
+        "register --refine": ["register", "--refine", "--iters", "10", str(moving), str(fixed), str(out)],
+        "evaluate": ["evaluate", str(identity), str(moving), str(fixed)],
+        "compare": ["compare", str(tmp_path / "cases")],
+    }[command]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code == 5
+    assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "overflows the float range" in captured.err
+    assert not out.exists()
 
 
 def test_register_trace_requires_refine(tmp_path):

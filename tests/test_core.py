@@ -18,7 +18,12 @@ from landreg.core import (
     rotation_matrix,
     transform_array,
 )
-from landreg.errors import CorrespondenceError, DecompositionError, InvalidParameterError
+from landreg.errors import (
+    CorrespondenceError,
+    DecompositionError,
+    DegenerateConfigurationError,
+    InvalidParameterError,
+)
 
 angles = st.floats(-math.pi / 2 + 0.1, math.pi / 2 - 0.1)
 scales = st.floats(0.5, 2.0)
@@ -166,6 +171,9 @@ def test_affine_matrix_validation():
     singular[0, 0] = 0.0
     with pytest.raises(InvalidParameterError):
         AffineMatrix(singular)
+    overflowing = np.diag([1e103, 1e103, 1e103, 1.0])  # finite, determinant 1e309
+    with pytest.raises(DegenerateConfigurationError, match="determinant overflows"):
+        AffineMatrix(overflowing)
 
 
 def test_affine_matrix_is_immutable():
@@ -257,6 +265,13 @@ def test_decompose_rejects_shear():
     sheared[0, 1] = 1e-3
     m = AffineMatrix.from_linear_translation(sheared, [0, 0, 0])
     with pytest.raises(DecompositionError):
+        decompose(m)
+
+
+def test_decompose_rejects_overflowing_scale():
+    # determinant 1, but the first column's squared norm is 1e400
+    m = AffineMatrix.from_linear_translation(np.diag([1e200, 1e-200, 1.0]), [0, 0, 0])
+    with pytest.raises(DegenerateConfigurationError, match="overflows"):
         decompose(m)
 
 

@@ -54,6 +54,13 @@ def test_stat_empty_rejected():
         TREStat.from_values([])
 
 
+@pytest.mark.parametrize("values", [[1.0, np.inf], [np.nan, 2.0], [1e308, 1e308], [1e200, 0.0]])
+def test_stat_rejects_non_finite_summary(values):
+    # an infinite or NaN distance, a mean that overflows, a std that overflows
+    with pytest.raises(DegenerateConfigurationError, match="overflows"):
+        TREStat.from_values(values)
+
+
 def test_stat_format():
     assert str(TREStat.from_values([1.0, 2.0])) == "1.500 ± 0.707 mm"
 

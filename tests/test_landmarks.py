@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from landreg.core import Point3, Volume3
 from landreg.errors import (
@@ -114,6 +114,74 @@ def test_edt_matches_scipy(density):
     got = distance_transform(BinaryMask(vol)).volume.data3d()
     want = ndimage.distance_transform_edt(vol.data3d() == 0.0, sampling=spacing[::-1])
     assert np.abs(got - want).max() <= 1e-9
+
+
+def position_loop_pass(f: np.ndarray, step: float, axis: int) -> np.ndarray:
+    """The minimum pass that the row loop replaced, frozen as the bit-identity oracle.
+
+    For each output position p it forms every candidate ``f[q] + ((p - q) * step)^2``
+    of every line at once and takes the minimum over q.
+    """
+    g = np.moveaxis(f, axis, -1)
+    n = g.shape[-1]
+    out = np.empty_like(g)
+    for p in range(n):
+        d = (p - np.arange(n)) * step
+        out[..., p] = (g + d * d).min(axis=-1)
+    return np.moveaxis(out, -1, axis)
+
+
+def position_loop_edt(volume: Volume3) -> np.ndarray:
+    """``distance_transform`` with the oracle pass: x, then y, then z, one square root."""
+    sx, sy, sz = volume.spacing
+    d2 = np.where(volume.data3d() > 0.5, 0.0, np.inf)
+    for step, axis in ((sx, 2), (sy, 1), (sz, 0)):
+        d2 = position_loop_pass(d2, step, axis)
+    return np.sqrt(d2)
+
+
+MASK_KINDS = ("one voxel", "three seeds", "30 %", "all ones", "full line")
+
+
+def kind_mask(dims, kind: str, seed: int) -> np.ndarray:
+    """A (nz, ny, nx) feature array of the given kind, sites drawn from ``seed``."""
+    nx, ny, nz = dims
+    rng = np.random.default_rng(seed)
+    data = np.zeros((nz, ny, nx))
+    if kind == "one voxel":
+        data.flat[rng.integers(0, data.size)] = 1.0
+    elif kind == "three seeds":
+        data.flat[rng.integers(0, data.size, size=3)] = 1.0
+    elif kind == "30 %":
+        data[rng.random(data.shape) < 0.3] = 1.0
+        data.flat[rng.integers(0, data.size)] = 1.0
+    elif kind == "all ones":
+        data[...] = 1.0
+    else:  # one whole line along a random axis
+        line = [int(rng.integers(0, d)) for d in data.shape]
+        line[int(rng.integers(0, 3))] = slice(None)
+        data[tuple(line)] = 1.0
+    return data
+
+
+@settings(max_examples=300)
+@given(
+    dims=st.tuples(*[st.integers(1, 12)] * 3),
+    spacing=st.tuples(*[st.floats(0.3, 4.0)] * 3),
+    kind=st.sampled_from(MASK_KINDS),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(dims=(1, 7, 1), spacing=(0.8, 1.3, 2.5), kind="three seeds", seed=1)
+@example(dims=(9, 1, 5), spacing=(0.8, 1.3, 2.5), kind="full line", seed=2)
+@example(dims=(40, 33, 21), spacing=(0.8, 1.3, 2.5), kind="three seeds", seed=404)
+def test_edt_is_bit_identical_to_position_loop(dims, spacing, kind, seed):
+    """The row loop skips rows without a site; nothing else may change a bit.
+
+    The 40x33x21 example has sites in 3 of 33 rows of its y pass.
+    """
+    vol = Volume3(dims=dims, spacing=spacing, data=kind_mask(dims, kind, seed).reshape(-1))
+    got = distance_transform(BinaryMask(vol)).volume.data3d()
+    assert np.array_equal(got, position_loop_edt(vol))
 
 
 def test_make_label_is_edt_of_its_voxel():

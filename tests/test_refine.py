@@ -1,6 +1,8 @@
 """Loss, analytic gradient, and Adam refinement."""
 
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from landreg.core import (
     transform_array,
 )
 from landreg.errors import CorrespondenceError, DivergenceError, InvalidParameterError
+from landreg.evaluate import _usable_cpus
 from landreg.refine import RefineConfig, RefineResult, loss, loss_gradient, refine
 from landreg.synth import SynthConfig, generate_cases
 from landreg.umeyama import umeyama_fit
@@ -112,6 +115,17 @@ def one_ulp_away(params, index):
     return AffineParams9.from_vector(v)
 
 
+def check_refine_against_array_oracle(case):
+    start = decompose(umeyama_fit(case.moving, case.fixed))
+    result = refine(start, case.moving, case.fixed)
+    assert result.final_loss <= result.initial_loss
+    want = oracle_final_loss(start, case.moving, case.fixed)
+    if abs(result.final_loss - want) > 2e-3:
+        nearby = [oracle_final_loss(one_ulp_away(start, i), case.moving, case.fixed) for i in range(9)]
+        assert max(nearby + [want]) - min(nearby + [want]) > 2e-3, case.case_id
+        assert min(abs(result.final_loss - x) for x in nearby) <= 2e-3, case.case_id
+
+
 def test_refine_matches_array_oracle_on_nonuniform_cohort():
     # Not bit for bit: Adam normalises each gradient component, so rounding
     # noise in a near-zero component becomes a full-size step late in a run.
@@ -119,15 +133,13 @@ def test_refine_matches_array_oracle_on_nonuniform_cohort():
     # the final loss by more than the 2e-3 mm tolerance; there the oracle must
     # show the same sensitivity, reaching the new result from a start one ulp
     # away while its own results spread wider than the tolerance.
-    for case in generate_cases(11, 20, SynthConfig(scale_mode="nonuniform")):
-        start = decompose(umeyama_fit(case.moving, case.fixed))
-        result = refine(start, case.moving, case.fixed)
-        assert result.final_loss <= result.initial_loss
-        want = oracle_final_loss(start, case.moving, case.fixed)
-        if abs(result.final_loss - want) > 2e-3:
-            nearby = [oracle_final_loss(one_ulp_away(start, i), case.moving, case.fixed) for i in range(9)]
-            assert max(nearby + [want]) - min(nearby + [want]) > 2e-3, case.case_id
-            assert min(abs(result.final_loss - x) for x in nearby) <= 2e-3, case.case_id
+    # The cases are independent, so they are checked on forked workers; a
+    # failing case re-raises its own assertion here, earliest case first.
+    cases = generate_cases(11, 20, SynthConfig(scale_mode="nonuniform"))
+    workers = min(len(cases), _usable_cpus())
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        for _ in pool.map(check_refine_against_array_oracle, cases):
+            pass
 
 
 def test_config_defaults():
