@@ -13,6 +13,7 @@ with its class's ``exit_code``; an ``OSError`` exits 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .core import Point3, Volume3, compose, decompose
@@ -203,7 +204,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``landreg`` parser, built on first use and shared by every later call.
+
+    ``parse_args`` keeps no state between calls, so :func:`main` reuses one
+    parser for the life of the process. Callers must not mutate it.
+    """
     parser = argparse.ArgumentParser(
         prog="landreg",
         description="Landmark-driven volume registration: distance maps, "

@@ -47,7 +47,8 @@ class CorrespondenceError(LandregError):
 
 class DegenerateConfigurationError(LandregError):
     """Point configuration too degenerate to fit (too few or collinear points),
-    or so large that the fit, its determinant or scales, or the TRE overflow."""
+    or so large that the fit, its determinant or scales, or the TRE overflow;
+    or voxel spacing whose squared distances overflow or underflow."""
 
     exit_code = 5
 

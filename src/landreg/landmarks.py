@@ -15,12 +15,14 @@ maps rescale a closed form of a landmark's distance into (0, 1] with
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Point3, Volume3
 from .errors import (
+    DegenerateConfigurationError,
     DegenerateGeometryError,
     InvalidDataError,
     NoFeatureError,
@@ -71,6 +73,29 @@ class LabelMap:
             raise InvalidDataError("label map values must lie in [exp(-10), 1]")
 
 
+def _check_spacing(volume: Volume3) -> None:
+    """Raise unless every squared distance between voxel centers is a normal float.
+
+    The distance transform and the label map both sum squared per-axis
+    distances. The largest, ``sum(((n - 1) * s)^2)`` over the axes, must not
+    overflow, and the smallest nonzero one, ``s^2`` on an axis of more than
+    one voxel, must not fall below the normal range, where it loses precision
+    or rounds to 0. Python floats give inf and 0 here without a warning.
+    """
+    dims, spacing = volume.dims, volume.spacing
+    ex, ey, ez = ((n - 1) * s for n, s in zip(dims, spacing))
+    if not math.isfinite(ex * ex + ey * ey + ez * ez):
+        raise DegenerateConfigurationError(
+            f"voxel spacing {spacing} mm is too large for a {'x'.join(map(str, dims))} grid: "
+            "its squared distances overflow the float range"
+        )
+    if any(n > 1 and s * s < sys.float_info.min for n, s in zip(dims, spacing)):
+        raise DegenerateConfigurationError(
+            f"voxel spacing {spacing} mm is too small: its squared distances "
+            "underflow the float range"
+        )
+
+
 def _min_pass(f: np.ndarray, step: float, axis: int) -> np.ndarray:
     """``out[p] = min_q ((p - q) * step)^2 + f[q]`` along ``axis``, all lines at once.
 
@@ -103,12 +128,15 @@ def distance_transform(mask: BinaryMask) -> DistanceMap:
     and takes one square root at the end, so the result matches a
     brute-force nearest-feature scan to floating-point accuracy.
 
-    Raises :class:`NoFeatureError` if the mask has no feature voxel.
+    Raises :class:`NoFeatureError` if the mask has no feature voxel and
+    :class:`DegenerateConfigurationError` if the squared distances of the
+    voxel spacing overflow or underflow the float range.
     """
     vol = mask.volume
     feature = vol.data3d() > 0.5
     if not feature.any():
         raise NoFeatureError("mask contains no feature voxels")
+    _check_spacing(vol)
     sx, sy, sz = vol.spacing
     d2 = np.where(feature, 0.0, np.inf)
     for step, axis in ((sx, 2), (sy, 1), (sz, 0)):  # (nz, ny, nx) layout: x first
@@ -125,10 +153,13 @@ def make_label(landmark: Point3, template: Volume3) -> LabelMap:
     it, z + (y + x), so it equals that voxel's distance map bit for bit, and
     max(M) is the global maximum. The landmark voxel gets exactly 1.
 
-    Raises :class:`OutOfBoundsError` if the landmark snaps outside the
-    grid, and :class:`DegenerateGeometryError` on a single-voxel volume,
-    where max(M) = 0 leaves the map undefined.
+    Raises :class:`DegenerateConfigurationError` if the squared distances
+    of the voxel spacing overflow or underflow the float range,
+    :class:`OutOfBoundsError` if the landmark snaps outside the grid, and
+    :class:`DegenerateGeometryError` on a single-voxel volume, where
+    max(M) = 0 leaves the map undefined.
     """
+    _check_spacing(template)
     ix, iy, iz = template.nearest_voxel(landmark)
     if not template.contains_voxel(ix, iy, iz):
         raise OutOfBoundsError(

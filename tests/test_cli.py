@@ -12,7 +12,7 @@ import pytest
 
 import landreg
 from landreg import evaluate
-from landreg.cli import main
+from landreg.cli import build_parser, main
 from landreg.core import AffineMatrix, Point3, PointSet, Volume3, compose
 from landreg.fileio import read_points, read_transform, read_volume, write_points, write_transform, write_volume
 from landreg.synth import SynthConfig, generate_cases
@@ -109,6 +109,28 @@ def test_make_label_malformed_triple(tmp_path):
             "--landmark", "1,2", "--dims", "4,4,4", "--spacing", "1,1,1",
         ])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["edt", "make-label"])
+@pytest.mark.parametrize("spacing", [(1e200, 1.0, 1.0), (1e-200, 1e-200, 1e-200)], ids=["huge", "tiny"])
+def test_spacing_whose_squares_leave_the_float_range_is_numerical_degeneracy(tmp_path, capsys, command, spacing):
+    out = tmp_path / "out.json"
+    if command == "edt":
+        mask = tmp_path / "mask.json"
+        write_mask(mask, (2, 2, 2), spacing, [0])
+        argv = ["edt", str(mask), str(out)]
+    else:
+        argv = ["make-label", str(out), "--landmark", "0,0,0", "--dims", "2,2,2",
+                "--spacing", ",".join(map(repr, spacing))]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code == 5
+    assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: voxel spacing ") and captured.err.count("\n") == 1
+    assert not out.exists() and not (tmp_path / "out.raw").exists()
 
 
 def case_files(tmp_path, seed=21, config=None):
@@ -257,12 +279,50 @@ def test_register_trace_requires_refine(tmp_path):
 
 
 def test_register_help_documents_defaults(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["register", "--help"])
-    assert info.value.code == 0
+    texts = []
+    for _ in range(2):  # the second call reuses the parser the first one built
+        with pytest.raises(SystemExit) as info:
+            main(["register", "--help"])
+        assert info.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    assert "10000" in texts[0]
+    assert "1e-05" in texts[0]
+
+
+def test_build_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_register_options_do_not_leak_into_the_next_call(tmp_path, capsys):
+    _, moving, fixed = case_files(tmp_path)
+    out = str(tmp_path / "t.json")
+    assert main(["register", str(moving), str(fixed), out, "--refine", "--iters", "5"]) == 0
+    assert capsys.readouterr().out.startswith("initial loss: ")
+    assert main(["register", str(moving), str(fixed), out]) == 0
     text = capsys.readouterr().out
-    assert "10000" in text
-    assert "1e-05" in text
+    assert text.startswith("loss: ") and "initial loss" not in text
+
+
+def test_compare_methods_do_not_leak_into_the_next_call(tmp_path, capsys):
+    case_dir = tmp_path / "cases"
+    main(["synth", str(case_dir), "--seed", "2", "--cases", "2"])
+    assert main(["compare", str(case_dir), "--methods", "identity"]) == 0
+    capsys.readouterr()
+    assert main(["compare", str(case_dir)]) == 0
+    text = capsys.readouterr().out
+    for name in ("identity", "umeyama", "umeyama+refine"):
+        assert f"\n{name} " in text
+
+
+def test_a_usage_error_does_not_break_the_next_call(tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["register"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    _, moving, fixed = case_files(tmp_path)
+    assert main(["register", str(moving), str(fixed), str(tmp_path / "t.json")]) == 0
+    assert capsys.readouterr().out.startswith("loss: ")
 
 
 def test_evaluate_aligned(tmp_path, capsys):

@@ -2,7 +2,7 @@
 
 import math
 import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 
 import numpy as np
 import pytest
@@ -115,15 +115,11 @@ def one_ulp_away(params, index):
     return AffineParams9.from_vector(v)
 
 
-def check_refine_against_array_oracle(case):
+def refine_and_oracle(case):
     start = decompose(umeyama_fit(case.moving, case.fixed))
     result = refine(start, case.moving, case.fixed)
     assert result.final_loss <= result.initial_loss
-    want = oracle_final_loss(start, case.moving, case.fixed)
-    if abs(result.final_loss - want) > 2e-3:
-        nearby = [oracle_final_loss(one_ulp_away(start, i), case.moving, case.fixed) for i in range(9)]
-        assert max(nearby + [want]) - min(nearby + [want]) > 2e-3, case.case_id
-        assert min(abs(result.final_loss - x) for x in nearby) <= 2e-3, case.case_id
+    return start, result.final_loss, oracle_final_loss(start, case.moving, case.fixed)
 
 
 def test_refine_matches_array_oracle_on_nonuniform_cohort():
@@ -133,13 +129,30 @@ def test_refine_matches_array_oracle_on_nonuniform_cohort():
     # the final loss by more than the 2e-3 mm tolerance; there the oracle must
     # show the same sensitivity, reaching the new result from a start one ulp
     # away while its own results spread wider than the tolerance.
-    # The cases are independent, so they are checked on forked workers; a
-    # failing case re-raises its own assertion here, earliest case first.
+    # Each case's refinement and oracle run is one task on forked workers.
+    # The nine one-ulp oracle runs of a case out of tolerance are nine more
+    # tasks, queued as soon as that case finishes, so no worker runs them all.
+    # A failing case re-raises its own assertion here, earliest case first.
     cases = generate_cases(11, 20, SynthConfig(scale_mode="nonuniform"))
     workers = min(len(cases), _usable_cpus())
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        for _ in pool.map(check_refine_against_array_oracle, cases):
-            pass
+        runs = {pool.submit(refine_and_oracle, case): case for case in cases}
+        nearby = {}
+        for run in as_completed(runs):
+            if run.exception() is None:
+                start, got, want = run.result()
+                if abs(got - want) > 2e-3:
+                    case = runs[run]
+                    nearby[run] = [
+                        pool.submit(oracle_final_loss, one_ulp_away(start, i), case.moving, case.fixed)
+                        for i in range(9)
+                    ]
+        for run, case in runs.items():
+            _, got, want = run.result()
+            if run in nearby:
+                losses = [neighbour.result() for neighbour in nearby[run]]
+                assert max(losses + [want]) - min(losses + [want]) > 2e-3, case.case_id
+                assert min(abs(got - x) for x in losses) <= 2e-3, case.case_id
 
 
 def test_config_defaults():
