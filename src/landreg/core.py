@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -62,14 +62,6 @@ class Point3:
                 raise InvalidParameterError(f"point component {name} must be finite, got {v}")
             object.__setattr__(self, name, v)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-    @classmethod
-    def from_array(cls, arr) -> "Point3":
-        x, y, z = arr
-        return cls(float(x), float(y), float(z))
-
 
 class PointSet:
     """An ordered set of corresponding landmarks.
@@ -100,10 +92,6 @@ class PointSet:
                 )
         self._names = names
 
-    @classmethod
-    def from_points(cls, points: Iterable[Point3], names: Sequence[str] | None = None) -> "PointSet":
-        return cls(np.array([[p.x, p.y, p.z] for p in points]), names)
-
     @property
     def coords(self) -> np.ndarray:
         """Read-only (n, 3) float64 coordinate array."""
@@ -115,13 +103,6 @@ class PointSet:
 
     def __len__(self) -> int:
         return self._coords.shape[0]
-
-    def __getitem__(self, i: int) -> Point3:
-        return Point3.from_array(self._coords[i])
-
-    def __iter__(self) -> Iterator[Point3]:
-        for row in self._coords:
-            yield Point3.from_array(row)
 
     def __repr__(self) -> str:
         return f"PointSet(n={len(self)})"
@@ -179,14 +160,23 @@ class Volume3:
         sx, sy, sz = self.spacing
         return Point3(self.origin.x + ix * sx, self.origin.y + iy * sy, self.origin.z + iz * sz)
 
-    def nearest_voxel(self, point: Point3) -> tuple[int, int, int]:
-        """Index of the voxel whose center is nearest to ``point`` (unclamped)."""
+    def voxel_offset(self, point: Point3) -> tuple[float, float, float]:
+        """Position of ``point`` in voxel units from the origin, as floats.
+
+        An offset may be infinite when ``point`` lies far outside a grid of
+        fine spacing.
+        """
         sx, sy, sz = self.spacing
         return (
-            int(round((point.x - self.origin.x) / sx)),
-            int(round((point.y - self.origin.y) / sy)),
-            int(round((point.z - self.origin.z) / sz)),
+            (point.x - self.origin.x) / sx,
+            (point.y - self.origin.y) / sy,
+            (point.z - self.origin.z) / sz,
         )
+
+    def nearest_voxel(self, point: Point3) -> tuple[int, int, int]:
+        """Index of the voxel whose center is nearest to ``point`` (unclamped)."""
+        ix, iy, iz = (round(f) for f in self.voxel_offset(point))
+        return ix, iy, iz
 
     def contains_voxel(self, ix: int, iy: int, iz: int) -> bool:
         nx, ny, nz = self.dims
@@ -302,24 +292,21 @@ class AffineMatrix:
         return (AffineMatrix, (self._m,))
 
 
-def rotation_x(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+def rotation(rx: float, ry: float, rz: float) -> tuple[float, ...]:
+    """Intrinsic Z-Y-X rotation ``Rz(rz) @ Ry(ry) @ Rx(rx)``.
 
-
-def rotation_y(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def rotation_z(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def rotation_matrix(rx: float, ry: float, rz: float) -> np.ndarray:
-    """Intrinsic Z-Y-X rotation: Rz @ Ry @ Rx."""
-    return rotation_z(rz) @ rotation_y(ry) @ rotation_x(rx)
+    Returns the nine entries in row-major order as Python floats. This is
+    the one rotation: :func:`compose` and the refinement kernel both build
+    R from it, so a written matrix is the one the kernel scored.
+    """
+    cx, snx = math.cos(rx), math.sin(rx)
+    cy, sny = math.cos(ry), math.sin(ry)
+    cz, snz = math.cos(rz), math.sin(rz)
+    return (
+        cz * cy, cz * sny * snx - snz * cx, cz * sny * cx + snz * snx,
+        snz * cy, snz * sny * snx + cz * cx, snz * sny * cx - cz * snx,
+        -sny, cy * snx, cy * cx,
+    )
 
 
 def compose(params: AffineParams9) -> AffineMatrix:
@@ -331,7 +318,7 @@ def compose(params: AffineParams9) -> AffineMatrix:
     """
     if not isinstance(params, AffineParams9):
         params = AffineParams9(*params)
-    linear = rotation_matrix(*params.r) * np.asarray(params.s)
+    linear = np.array(rotation(*params.r)).reshape(3, 3) * params.s
     return AffineMatrix.from_linear_translation(linear, params.t)
 
 

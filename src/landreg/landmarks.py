@@ -160,11 +160,17 @@ def make_label(landmark: Point3, template: Volume3) -> LabelMap:
     max(M) = 0 leaves the map undefined.
     """
     _check_spacing(template)
-    ix, iy, iz = template.nearest_voxel(landmark)
+    # window the offsets as floats before rounding: far outside the grid an
+    # offset may be infinite, or round to an integer hundreds of digits long
+    ix, iy, iz = (
+        round(f) if -1.0 < f < n else -1
+        for f, n in zip(template.voxel_offset(landmark), template.dims)
+    )
     if not template.contains_voxel(ix, iy, iz):
         raise OutOfBoundsError(
-            f"landmark ({landmark.x}, {landmark.y}, {landmark.z}) mm falls outside "
-            f"the volume (nearest voxel ({ix}, {iy}, {iz}) of dims {template.dims})"
+            f"landmark ({landmark.x}, {landmark.y}, {landmark.z}) mm falls outside the volume "
+            f"(dims {template.dims}, spacing {template.spacing} mm, origin "
+            f"({template.origin.x}, {template.origin.y}, {template.origin.z}) mm)"
         )
     nx, ny, nz = template.dims
     z, y, x = np.ogrid[:nz, :ny, :nx]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AffineParams9, PointSet, require_correspondence
+from .core import AffineParams9, PointSet, require_correspondence, rotation
 from .errors import DivergenceError, InvalidParameterError
 
 TRACE_STRIDE = 100
@@ -98,13 +98,9 @@ def _loss_and_gradient(theta, pairs, loss_epsilon: float) -> tuple[float, list[f
     where G is the generator of the rotation about an axis.
     """
     tx, ty, tz, rx, ry, rz, sx, sy, sz = theta
-    cx, snx = math.cos(rx), math.sin(rx)
-    cy, sny = math.cos(ry), math.sin(ry)
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = rotation(rx, ry, rz)
+    # Rz's column e_y, for dR/dry
     cz, snz = math.cos(rz), math.sin(rz)
-    # R = Rz @ Ry @ Rx
-    r00, r01, r02 = cz * cy, cz * sny * snx - snz * cx, cz * sny * cx + snz * snx
-    r10, r11, r12 = snz * cy, snz * sny * snx + cz * cx, snz * sny * cx - cz * snx
-    r20, r21, r22 = -sny, cy * snx, cy * cx
     # linear part R @ diag(s)
     a00, a01, a02 = r00 * sx, r01 * sy, r02 * sz
     a10, a11, a12 = r10 * sx, r11 * sy, r12 * sz

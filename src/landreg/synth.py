@@ -43,9 +43,11 @@ class SynthConfig:
     scale_max: float = 1.25
     noise_sigma: float = 0.0
     scale_mode: str = "uniform"
-    scales: tuple[float, float, float] | None = None
 
     def __post_init__(self) -> None:
+        for name in ("box_mm", "t_max", "r_max", "scale_min", "scale_max", "noise_sigma"):
+            if not np.isfinite(getattr(self, name)):
+                raise InvalidParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if self.n_fit < 3:
             raise InvalidParameterError(f"n_fit must be at least 3, got {self.n_fit}")
         if self.n_holdout < 0:
@@ -54,6 +56,11 @@ class SynthConfig:
             raise InvalidParameterError(f"box_mm must be positive, got {self.box_mm}")
         if self.t_max < 0 or self.r_max < 0:
             raise InvalidParameterError("t_max and r_max must be non-negative")
+        # the generator draws over [-max, max], whose width must be a float
+        if not np.isfinite(2.0 * max(self.t_max, self.r_max)):
+            raise InvalidParameterError(
+                f"t_max and r_max must not exceed half the float range, got {self.t_max} and {self.r_max}"
+            )
         if not 0 < self.scale_min <= self.scale_max:
             raise InvalidParameterError(
                 f"need 0 < scale_min <= scale_max, got [{self.scale_min}, {self.scale_max}]"
@@ -64,9 +71,6 @@ class SynthConfig:
             raise InvalidParameterError(
                 f"scale_mode must be one of {SCALE_MODES}, got {self.scale_mode!r}"
             )
-        if self.scales is not None:
-            if len(self.scales) != 3 or any(not s > 0 for s in self.scales):
-                raise InvalidParameterError(f"scales override must be 3 positive reals, got {self.scales}")
 
 
 @dataclass(frozen=True)
@@ -107,9 +111,7 @@ def _draw_cloud(rng: np.random.Generator, n: int, box_mm: float) -> np.ndarray:
 def _draw_generator(rng: np.random.Generator, config: SynthConfig) -> AffineParams9:
     t = rng.uniform(-config.t_max, config.t_max, size=3)
     r = rng.uniform(-config.r_max, config.r_max, size=3)
-    if config.scales is not None:
-        s = np.asarray(config.scales, dtype=float)
-    elif config.scale_mode == "uniform":
+    if config.scale_mode == "uniform":
         s = np.full(3, rng.uniform(config.scale_min, config.scale_max))
     else:
         s = rng.uniform(config.scale_min, config.scale_max, size=3)

@@ -94,6 +94,24 @@ def test_make_label_out_of_bounds(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "placement",
+    [
+        ["--landmark", "1e308,0,0", "--spacing", "1e-10,1,1"],
+        ["--landmark", "0,0,0", "--spacing", "1,1,1", "--origin=-1e308,0,0"],
+    ],
+    ids=["offset-overflows", "offset-past-the-integers"],
+)
+def test_make_label_landmark_far_outside_is_out_of_bounds(tmp_path, capsys, placement):
+    out = tmp_path / "label.json"
+    assert main(["make-label", str(out), "--dims", "2,1,1"] + placement) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: landmark (") and "(dims (2, 1, 1), spacing (" in captured.err
+    assert not out.exists() and not (tmp_path / "label.raw").exists()
+
+
 def test_make_label_single_voxel_grid(tmp_path):
     code = main([
         "make-label", str(tmp_path / "label.json"),
@@ -429,6 +447,24 @@ def test_synth_rejects_unwritable_directory(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("occupied")
     assert main(["synth", str(blocker / "sub"), "--seed", "1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "option",
+    [
+        ["--t-max", "inf"], ["--t-max", "nan"], ["--t-max", "1e308"],
+        ["--r-max", "inf"], ["--r-max", "nan"], ["--r-max", "1e308"],
+        ["--box", "inf"], ["--scale-max", "inf"],
+    ],
+    ids=lambda option: " ".join(option),
+)
+def test_synth_rejects_ranges_outside_the_float_range(tmp_path, capsys, option):
+    out = tmp_path / "cases"
+    assert main(["synth", str(out), "--seed", "1"] + option) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_compare_uniform_cases(tmp_path, capsys):

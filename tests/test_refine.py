@@ -12,9 +12,6 @@ from landreg.core import (
     PointSet,
     compose,
     decompose,
-    rotation_x,
-    rotation_y,
-    rotation_z,
     transform_array,
 )
 from landreg.errors import CorrespondenceError, DivergenceError, InvalidParameterError
@@ -53,8 +50,23 @@ def finite_difference(params, moving, fixed, h=1e-6):
 
 
 # The array kernel and Adam loop that the scalar ones replaced, kept as an
-# oracle. Derivatives of the rotation come from the axis generators, chained
-# through the matrix product.
+# oracle. R is the product of its own axis matrices, and derivatives of the
+# rotation come from the axis generators, chained through the matrix product.
+def rotation_x(angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+
+
+def rotation_y(angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+
+
+def rotation_z(angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
 _DRX = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
 _DRY = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
 _DRZ = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])

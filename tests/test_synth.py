@@ -19,8 +19,6 @@ from landreg.synth import SynthConfig, generate_case, generate_cases, load_cases
         {"scale_min": 2.0, "scale_max": 1.0},
         {"noise_sigma": -0.5},
         {"scale_mode": "fancy"},
-        {"scales": (1.0, 2.0)},
-        {"scales": (1.0, -2.0, 3.0)},
     ],
 )
 def test_config_validation(kwargs):
@@ -73,9 +71,6 @@ def test_scale_modes():
 
     nonuniform = generate_case(5, 0, SynthConfig(scale_mode="nonuniform"))
     assert len(set(nonuniform.generator.s)) == 3
-
-    pinned = generate_case(5, 0, SynthConfig(scales=(1.0, 2.0, 3.0)))
-    assert pinned.generator.s == (1.0, 2.0, 3.0)
 
 
 def test_generator_ranges_respected():
