@@ -5,9 +5,11 @@ landmark volumes, landmark extraction, two-stage point registration
 (closed-form similarity, then optional Adam refinement), TRE evaluation,
 plus a seeded synthetic-case generator and a batch method comparison.
 
-Exit codes: 0 success, 2 I/O or format problem, 3 degenerate data,
-4 correspondence mismatch, 5 numerical degeneracy. A library error exits
-with its class's ``exit_code``; an ``OSError`` exits 2.
+Exit codes: 0 success, 2 I/O, format or usage problem, 3 degenerate data,
+4 correspondence mismatch, 5 numerical degeneracy or a parameter value
+outside its range. Options parse here as plain numbers; the library checks
+their ranges. A library error exits with its class's ``exit_code``; an
+``OSError`` exits 2.
 """
 
 from __future__ import annotations
@@ -67,34 +69,6 @@ def _triple_ints(text: str) -> tuple[int, int, int]:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
-
-
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text}")
-    return value
-
-
-def _nonneg_float(text: str) -> float:
-    value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative number, got {text}")
-    return value
-
-
 def _methods_arg(text: str) -> tuple[str, ...]:
     names = tuple(part.strip() for part in text.split(","))
     for name in names:
@@ -121,8 +95,6 @@ def cmd_edt(args: argparse.Namespace) -> int:
 
 
 def cmd_make_label(args: argparse.Namespace) -> int:
-    if min(args.dims) <= 0:
-        raise FormatError(f"dims must be positive, got {args.dims}")
     template = Volume3(dims=args.dims, spacing=args.spacing, origin=Point3(*args.origin))
     label = make_label(Point3(*args.landmark), template)
     write_volume(label.volume, args.out)
@@ -130,6 +102,7 @@ def cmd_make_label(args: argparse.Namespace) -> int:
 
 
 def cmd_register(args: argparse.Namespace) -> int:
+    config = RefineConfig(iterations=args.iters, step_size=args.lr)
     if args.trace and not args.refine:
         raise FormatError("--trace requires --refine")
     moving = read_points(args.moving)
@@ -140,7 +113,6 @@ def cmd_register(args: argparse.Namespace) -> int:
         )
     matrix = umeyama_fit(moving, fixed)
     if args.refine:
-        config = RefineConfig(iterations=args.iters, step_size=args.lr)
         result = refine(decompose(matrix), moving, fixed, config)
         matrix = compose(result.params)
         write_transform(matrix, args.out, params=result.params)
@@ -248,8 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("fixed", help="fixed landmark CSV")
     p.add_argument("out", help="output transform JSON")
     p.add_argument("--refine", action="store_true", help="refine all nine parameters with Adam after the closed-form fit")
-    p.add_argument("--iters", type=_positive_int, default=10000, help="refinement iterations")
-    p.add_argument("--lr", type=_positive_float, default=1e-5, help="refinement step size")
+    p.add_argument("--iters", type=int, default=10000, help="refinement iterations")
+    p.add_argument("--lr", type=float, default=1e-5, help="refinement step size")
     p.add_argument("--trace", metavar="CSV", help="write per-iteration loss CSV (requires --refine)")
     p.set_defaults(func=cmd_register)
 
@@ -279,17 +251,17 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     p.add_argument("out_dir", help="output directory (one subdirectory per case)")
-    p.add_argument("--seed", type=_nonneg_int, required=True, help="master seed")
-    p.add_argument("--cases", type=_positive_int, default=1, help="number of cases")
-    p.add_argument("--noise", type=_nonneg_float, default=0.0, help="Gaussian landmark noise sigma in mm")
+    p.add_argument("--seed", type=int, required=True, help="master seed")
+    p.add_argument("--cases", type=int, default=1, help="number of cases")
+    p.add_argument("--noise", type=float, default=0.0, help="Gaussian landmark noise sigma in mm")
     p.add_argument("--scale-mode", choices=SCALE_MODES, default="uniform", help="one shared scale or three independent scales")
-    p.add_argument("--n-fit", type=_positive_int, default=4, help="fitting landmarks per case")
-    p.add_argument("--n-holdout", type=_nonneg_int, default=1, help="hold-out landmarks per case")
-    p.add_argument("--box", type=_positive_float, default=50.0, help="landmark box edge in mm")
-    p.add_argument("--t-max", type=_nonneg_float, default=10.0, help="max |translation| per axis in mm")
-    p.add_argument("--r-max", type=_nonneg_float, default=0.3, help="max |rotation| per axis in rad")
-    p.add_argument("--scale-min", type=_positive_float, default=0.8, help="smallest generator scale")
-    p.add_argument("--scale-max", type=_positive_float, default=1.25, help="largest generator scale")
+    p.add_argument("--n-fit", type=int, default=4, help="fitting landmarks per case")
+    p.add_argument("--n-holdout", type=int, default=1, help="hold-out landmarks per case")
+    p.add_argument("--box", type=float, default=50.0, help="landmark box edge in mm")
+    p.add_argument("--t-max", type=float, default=10.0, help="max |translation| per axis in mm")
+    p.add_argument("--r-max", type=float, default=0.3, help="max |rotation| per axis in rad")
+    p.add_argument("--scale-min", type=float, default=0.8, help="smallest generator scale")
+    p.add_argument("--scale-max", type=float, default=1.25, help="largest generator scale")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser(

@@ -153,6 +153,7 @@ class Volume3:
         return ix + nx * (iy + ny * iz)
 
     def voxel_of_index(self, linear: int) -> tuple[int, int, int]:
+        """Voxel (x, y, z) at ``linear``; elementwise for an integer array."""
         nx, ny, _ = self.dims
         return linear % nx, (linear // nx) % ny, linear // (nx * ny)
 
@@ -172,11 +173,6 @@ class Volume3:
             (point.y - self.origin.y) / sy,
             (point.z - self.origin.z) / sz,
         )
-
-    def nearest_voxel(self, point: Point3) -> tuple[int, int, int]:
-        """Index of the voxel whose center is nearest to ``point`` (unclamped)."""
-        ix, iy, iz = (round(f) for f in self.voxel_offset(point))
-        return ix, iy, iz
 
     def contains_voxel(self, ix: int, iy: int, iz: int) -> bool:
         nx, ny, nz = self.dims
@@ -370,6 +366,18 @@ def decompose(matrix: AffineMatrix) -> AffineParams9:
 def transform_array(matrix: AffineMatrix, coords: np.ndarray) -> np.ndarray:
     """Map each row ``p`` of an (n, 3) array to ``linear @ p + translation``."""
     return coords @ matrix.linear.T + matrix.translation
+
+
+def require_integer(value, name: str, minimum: int) -> int:
+    """``value`` as a Python int; raise unless it is an integer of at least ``minimum``.
+
+    Python and numpy integers qualify; ``bool`` and integral floats do not.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise InvalidParameterError(f"{name} must be at least {minimum}, got {value}")
+    return int(value)
 
 
 def require_correspondence(moving: PointSet, fixed: PointSet) -> None:

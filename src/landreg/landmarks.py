@@ -215,13 +215,7 @@ def extract_extremes(mask: BinaryMask, axis: int = 0) -> tuple[Point3, Point3]:
     flat = np.flatnonzero(vol.data)
     if flat.size == 0:
         raise NoFeatureError("mask contains no feature voxels")
-    nx, ny, _ = vol.dims
-    if axis == 0:
-        along = flat % nx
-    elif axis == 1:
-        along = (flat // nx) % ny
-    else:
-        along = flat // (nx * ny)
+    along = vol.voxel_of_index(flat)[axis]
     # argmin/argmax return the first occurrence; flat indices are ascending,
     # which realizes the smallest-linear-index tie-break.
     lo = int(flat[np.argmin(along)])

@@ -15,46 +15,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AffineParams9, PointSet, require_correspondence, rotation
+from .core import AffineParams9, PointSet, require_correspondence, require_integer, rotation
 from .errors import DivergenceError, InvalidParameterError
 
 TRACE_STRIDE = 100
 
+# Adam's moment decay rates and denominator guard: the optimizer's
+# standard constants (Kingma & Ba, 2015)
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
-def _require_loss_epsilon(loss_epsilon: float) -> None:
-    if not (loss_epsilon > 0 and math.isfinite(loss_epsilon)):
-        raise InvalidParameterError(f"loss_epsilon must be positive, got {loss_epsilon}")
+# added under the square root of each distance so the loss gradient stays
+# finite at exact alignment
+LOSS_EPSILON = 1e-12
 
 
 @dataclass(frozen=True)
 class RefineConfig:
-    """Adam settings. The iteration count and step size default to the
-    values the registration pipeline was tuned with (10^4 steps of 1e-5);
-    the moment coefficients are the optimizer's standard defaults.
-
-    ``loss_epsilon`` regularizes the square root in the distance loss so
-    its gradient stays finite at exact alignment.
+    """Adam's iteration count and step size. The defaults are the values
+    the registration pipeline was tuned with (10^4 steps of 1e-5); the
+    moment constants are fixed as :data:`BETA1`, :data:`BETA2` and
+    :data:`ADAM_EPSILON`.
     """
 
     iterations: int = 10_000
     step_size: float = 1e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    loss_epsilon: float = 1e-12
 
     def __post_init__(self):
-        if int(self.iterations) != self.iterations or self.iterations <= 0:
-            raise InvalidParameterError(f"iterations must be a positive integer, got {self.iterations}")
+        object.__setattr__(self, "iterations", require_integer(self.iterations, "iterations", 1))
         if not (self.step_size > 0 and math.isfinite(self.step_size)):
             raise InvalidParameterError(f"step_size must be positive, got {self.step_size}")
-        for name in ("beta1", "beta2"):
-            b = getattr(self, name)
-            if not 0.0 < b < 1.0:
-                raise InvalidParameterError(f"{name} must lie in (0, 1), got {b}")
-        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
-            raise InvalidParameterError(f"epsilon must be positive, got {self.epsilon}")
-        _require_loss_epsilon(self.loss_epsilon)
 
 
 @dataclass(frozen=True)
@@ -80,7 +71,7 @@ def _pairs(moving: PointSet, fixed: PointSet) -> list[list[float]]:
     return np.hstack((moving.coords, fixed.coords)).tolist()
 
 
-def _loss_and_gradient(theta, pairs, loss_epsilon: float) -> tuple[float, list[float]]:
+def _loss_and_gradient(theta, pairs) -> tuple[float, list[float]]:
     """Mean regularized distance and its 9 partial derivatives at ``theta``.
 
     ``theta`` is (tx, ty, tz, rx, ry, rz, sx, sy, sz) and ``pairs`` the
@@ -97,6 +88,7 @@ def _loss_and_gradient(theta, pairs, loss_epsilon: float) -> tuple[float, list[f
     with ``dR/drx = R Gx``, ``dR/dry = [Rz e_y]x R`` and ``dR/drz = Gz R``,
     where G is the generator of the rotation about an axis.
     """
+    loss_epsilon = LOSS_EPSILON
     tx, ty, tz, rx, ry, rz, sx, sy, sz = theta
     r00, r01, r02, r10, r11, r12, r20, r21, r22 = rotation(rx, ry, rz)
     # Rz's column e_y, for dR/dry
@@ -151,23 +143,20 @@ def _loss_and_gradient(theta, pairs, loss_epsilon: float) -> tuple[float, list[f
     return total / n, grad
 
 
-def loss(params: AffineParams9, moving: PointSet, fixed: PointSet,
-         loss_epsilon: float = 1e-12) -> float:
+def loss(params: AffineParams9, moving: PointSet, fixed: PointSet) -> float:
     """Mean per-correspondence Euclidean distance in mm.
 
-    Each distance is ``sqrt(||fixed_i - T(moving_i)||^2 + loss_epsilon)``,
-    so the value at exact alignment is ``sqrt(loss_epsilon)`` rather than
+    Each distance is ``sqrt(||fixed_i - T(moving_i)||^2 + LOSS_EPSILON)``,
+    so the value at exact alignment is ``sqrt(LOSS_EPSILON)`` rather than
     zero. This is the quantity :func:`refine` descends, and it matches the
     registration error metric up to the regularizer.
     """
     require_correspondence(moving, fixed)
-    _require_loss_epsilon(loss_epsilon)
-    value, _ = _loss_and_gradient(params.t + params.r + params.s, _pairs(moving, fixed), loss_epsilon)
+    value, _ = _loss_and_gradient(params.t + params.r + params.s, _pairs(moving, fixed))
     return value
 
 
-def loss_gradient(params: AffineParams9, moving: PointSet, fixed: PointSet,
-                  loss_epsilon: float = 1e-12) -> np.ndarray:
+def loss_gradient(params: AffineParams9, moving: PointSet, fixed: PointSet) -> np.ndarray:
     """Analytic partial derivatives of :func:`loss`.
 
     Ordered (tx, ty, tz, rx, ry, rz, sx, sy, sz), by the chain rule through
@@ -175,8 +164,7 @@ def loss_gradient(params: AffineParams9, moving: PointSet, fixed: PointSet,
     relative error below 1e-4 on any non-vanishing component.
     """
     require_correspondence(moving, fixed)
-    _require_loss_epsilon(loss_epsilon)
-    _, grad = _loss_and_gradient(params.t + params.r + params.s, _pairs(moving, fixed), loss_epsilon)
+    _, grad = _loss_and_gradient(params.t + params.r + params.s, _pairs(moving, fixed))
     return np.array(grad)
 
 
@@ -196,8 +184,7 @@ def refine(init: AffineParams9, moving: PointSet, fixed: PointSet,
     require_correspondence(moving, fixed)
     cfg = config if config is not None else RefineConfig()
     pairs = _pairs(moving, fixed)
-    loss_epsilon = cfg.loss_epsilon
-    step_size, beta1, beta2, epsilon = cfg.step_size, cfg.beta1, cfg.beta2, cfg.epsilon
+    step_size, beta1, beta2, epsilon = cfg.step_size, BETA1, BETA2, ADAM_EPSILON
     keep1, keep2 = 1.0 - beta1, 1.0 - beta2
 
     theta = list(init.t + init.r + init.s)
@@ -207,7 +194,7 @@ def refine(init: AffineParams9, moving: PointSet, fixed: PointSet,
 
     k = 0
     try:
-        value, grad = _loss_and_gradient(theta, pairs, loss_epsilon)
+        value, grad = _loss_and_gradient(theta, pairs)
         if not math.isfinite(value):
             raise DivergenceError("loss is non-finite at the initial parameters", iteration=0)
         initial_loss = value
@@ -226,7 +213,7 @@ def refine(init: AffineParams9, moving: PointSet, fixed: PointSet,
                 theta[i] = theta[i] - step_size * (m[i] / correction1) / (
                     math.sqrt(v[i] / correction2) + epsilon)
 
-            value, grad = _loss_and_gradient(theta, pairs, loss_epsilon)
+            value, grad = _loss_and_gradient(theta, pairs)
             if not math.isfinite(value):
                 raise DivergenceError(f"loss became non-finite at iteration {k}", iteration=k)
             if value < best_loss:

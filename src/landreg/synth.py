@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AffineParams9, PointSet, compose, transform_array
+from .core import AffineParams9, PointSet, compose, require_integer, transform_array
 from .errors import DegenerateConfigurationError, FormatError, InvalidParameterError
 from .evaluate import EvalCase
 from .fileio import read_points, write_points
@@ -48,10 +48,8 @@ class SynthConfig:
         for name in ("box_mm", "t_max", "r_max", "scale_min", "scale_max", "noise_sigma"):
             if not np.isfinite(getattr(self, name)):
                 raise InvalidParameterError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.n_fit < 3:
-            raise InvalidParameterError(f"n_fit must be at least 3, got {self.n_fit}")
-        if self.n_holdout < 0:
-            raise InvalidParameterError(f"n_holdout must be non-negative, got {self.n_holdout}")
+        object.__setattr__(self, "n_fit", require_integer(self.n_fit, "n_fit", 3))
+        object.__setattr__(self, "n_holdout", require_integer(self.n_holdout, "n_holdout", 0))
         if not self.box_mm > 0:
             raise InvalidParameterError(f"box_mm must be positive, got {self.box_mm}")
         if self.t_max < 0 or self.r_max < 0:
@@ -118,6 +116,17 @@ def _draw_generator(rng: np.random.Generator, config: SynthConfig) -> AffinePara
     return AffineParams9(t=tuple(t), r=tuple(r), s=tuple(s))
 
 
+def _add_noise(rng: np.random.Generator, points: np.ndarray, sigma: float) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        noisy = points + rng.normal(0.0, sigma, size=points.shape)
+    # points that overflowed before the noise are PointSet's to reject
+    if np.isfinite(points).all() and not np.isfinite(noisy).all():
+        raise InvalidParameterError(
+            f"noise_sigma {sigma} puts landmark coordinates outside the float range"
+        )
+    return noisy
+
+
 def generate_case(seed: int, case_index: int, config: SynthConfig | None = None) -> SyntheticCase:
     """Generate case ``case_index`` of the stream identified by ``seed``.
 
@@ -125,8 +134,8 @@ def generate_case(seed: int, case_index: int, config: SynthConfig | None = None)
     ``SeedSequence([seed, case_index])``, so a case does not change when
     its neighbors do.
     """
-    if seed < 0 or case_index < 0:
-        raise InvalidParameterError("seed and case_index must be non-negative")
+    seed = require_integer(seed, "seed", 0)
+    case_index = require_integer(case_index, "case_index", 0)
     cfg = config if config is not None else SynthConfig()
     rng = np.random.default_rng(np.random.SeedSequence([seed, case_index]))
 
@@ -136,11 +145,10 @@ def generate_case(seed: int, case_index: int, config: SynthConfig | None = None)
     generator = _draw_generator(rng, cfg)
     matrix = compose(generator)
 
-    fixed_fit = transform_array(matrix, moving_fit)
-    fixed_fit = fixed_fit + rng.normal(0.0, cfg.noise_sigma, size=fixed_fit.shape)
-    fixed_hold = transform_array(matrix, moving_hold) if cfg.n_holdout else None
-    if fixed_hold is not None:
-        fixed_hold = fixed_hold + rng.normal(0.0, cfg.noise_sigma, size=fixed_hold.shape)
+    fixed_fit = _add_noise(rng, transform_array(matrix, moving_fit), cfg.noise_sigma)
+    fixed_hold = (
+        _add_noise(rng, transform_array(matrix, moving_hold), cfg.noise_sigma) if cfg.n_holdout else None
+    )
 
     fit_names = tuple(f"p{i}" for i in range(cfg.n_fit))
     hold_names = tuple(f"h{i}" for i in range(cfg.n_holdout))
@@ -157,9 +165,7 @@ def generate_case(seed: int, case_index: int, config: SynthConfig | None = None)
 
 
 def generate_cases(seed: int, n_cases: int, config: SynthConfig | None = None) -> list[SyntheticCase]:
-    if n_cases < 1:
-        raise InvalidParameterError(f"n_cases must be positive, got {n_cases}")
-    return [generate_case(seed, i, config) for i in range(n_cases)]
+    return [generate_case(seed, i, config) for i in range(require_integer(n_cases, "n_cases", 1))]
 
 
 def save_cases(cases: list[SyntheticCase], out_dir: str | os.PathLike, config: SynthConfig) -> None:

@@ -467,6 +467,54 @@ def test_synth_rejects_ranges_outside_the_float_range(tmp_path, capsys, option):
     assert not out.exists()
 
 
+def test_synth_noise_that_overflows_names_noise_sigma(tmp_path, capsys):
+    out = tmp_path / "cases"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["synth", str(out), "--seed", "1", "--noise", "1e308"])
+    assert code == 5
+    assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: noise_sigma ") and captured.err.count("\n") == 1
+    assert not out.exists()
+    assert main(["synth", str(out), "--seed", "1", "--noise", "1e200"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "OUT", "--seed", "1", "--noise", "-1"],
+        ["synth", "OUT", "--seed", "1", "--n-fit", "0"],
+        ["synth", "OUT", "--seed", "-1"],
+        ["synth", "OUT", "--seed", "1", "--cases", "0"],
+        ["synth", "OUT", "--seed", "1", "--scale-min", "0"],
+        ["register", "MOVING", "FIXED", "OUT", "--refine", "--lr", "0"],
+        ["register", "MOVING", "FIXED", "OUT", "--refine", "--lr", "nan"],
+        ["register", "MOVING", "FIXED", "OUT", "--iters", "0"],
+        ["make-label", "OUT", "--landmark", "0,0,0", "--dims", "0,4,4", "--spacing", "1,1,1"],
+    ],
+    ids=lambda argv: " ".join(argv[argv.index("OUT") + 1:]),
+)
+def test_out_of_range_options_are_parameter_errors(tmp_path, capsys, argv):
+    _, moving, fixed = case_files(tmp_path)
+    out = tmp_path / "out"
+    paths = {"OUT": str(out), "MOVING": str(moving), "FIXED": str(fixed)}
+    before = sorted(os.listdir(tmp_path))
+    assert main([paths.get(arg, arg) for arg in argv]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_non_numeric_option_is_a_usage_error(tmp_path):
+    with pytest.raises(SystemExit) as info:
+        main(["synth", str(tmp_path / "out"), "--seed", "x"])
+    assert info.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_compare_uniform_cases(tmp_path, capsys):
     case_dir = tmp_path / "cases"
     main(["synth", str(case_dir), "--seed", "2", "--cases", "3"])

@@ -111,13 +111,6 @@ def test_volume_voxel_center_uses_origin_and_spacing():
     assert vol.voxel_center(2, 1, 1) == Point3(-1.0 + 1.0, 12.0, 3.25)
 
 
-def test_volume_nearest_voxel_rounds_without_clamping():
-    vol = Volume3(dims=(2, 2, 2), spacing=(1, 1, 1))
-    assert vol.nearest_voxel(Point3(0.4, 0.6, 1.2)) == (0, 1, 1)
-    assert vol.nearest_voxel(Point3(-5.0, 0.0, 9.0)) == (-5, 0, 9)
-    assert not vol.contains_voxel(-5, 0, 9)
-
-
 def test_volume_data3d_layout_matches_linear_index():
     vol = Volume3(dims=(4, 3, 2), spacing=(1, 1, 1), data=np.arange(24.0))
     cube = vol.data3d()

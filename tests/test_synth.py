@@ -26,6 +26,35 @@ def test_config_validation(kwargs):
         SynthConfig(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: SynthConfig(n_fit=3.5),
+        lambda: SynthConfig(n_fit=4.0),
+        lambda: SynthConfig(n_holdout=True),
+        lambda: SynthConfig(n_holdout=1.5),
+        lambda: generate_cases(1.5, 1),
+        lambda: generate_cases(1, 1.5),
+        lambda: generate_cases(1, True),
+        lambda: generate_case(1, 0.0),
+    ],
+    ids=["n_fit=3.5", "n_fit=4.0", "n_holdout=True", "n_holdout=1.5", "seed=1.5", "n_cases=1.5", "n_cases=True",
+         "case_index=0.0"],
+)
+def test_counts_and_seeds_must_be_integers(make):
+    with pytest.raises(InvalidParameterError):
+        make()
+
+
+def test_counts_and_seeds_may_be_numpy_integers(tmp_path):
+    config = SynthConfig(n_fit=np.int64(5), n_holdout=np.int32(2))
+    assert config == SynthConfig(n_fit=5, n_holdout=2)
+    cases = generate_cases(np.int64(12), np.int64(1), config)
+    assert np.array_equal(cases[0].fixed.coords, generate_case(12, 0, config).fixed.coords)
+    save_cases(cases, tmp_path, config)  # the manifest holds them as JSON integers
+    assert [len(case.moving) for case in load_cases(tmp_path)] == [5]
+
+
 def test_generation_is_deterministic():
     a = generate_case(12, 3)
     b = generate_case(12, 3)
