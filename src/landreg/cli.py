@@ -31,6 +31,7 @@ from .fileio import (
     read_points,
     read_transform,
     read_volume,
+    write_file,
     write_trace,
     write_transform,
     write_volume,
@@ -170,8 +171,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     methods = [_METHOD_FACTORIES[name]() for name in args.methods]
     comparison = compare_methods(cases, methods)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(comparison.to_csv())
+        write_file(args.csv, comparison.to_csv().encode("utf-8"))
     print(comparison.to_text(), end="")
     return 0
 

@@ -16,6 +16,7 @@ Conventions, fixed once and relied on everywhere:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -123,8 +124,8 @@ class Volume3:
     data: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if len(dims) != 3 or any(d < 1 for d in dims):
+        dims = tuple(require_integer(d, "dims", 1) for d in self.dims)
+        if len(dims) != 3:
             raise InvalidParameterError(f"dims must be 3 positive integers, got {self.dims}")
         spacing = _as_float3(self.spacing, "spacing")
         if any(s <= 0 for s in spacing):
@@ -378,6 +379,19 @@ def require_integer(value, name: str, minimum: int) -> int:
     if value < minimum:
         raise InvalidParameterError(f"{name} must be at least {minimum}, got {value}")
     return int(value)
+
+
+def require_real(value, name: str) -> float:
+    """``value`` as a Python float; raise unless it is a finite real number.
+
+    Python and numpy reals qualify; ``bool``, strings and other types do not.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise InvalidParameterError(f"{name} must be finite, got {value}")
+    return value
 
 
 def require_correspondence(moving: PointSet, fixed: PointSet) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AffineParams9, PointSet, require_correspondence, require_integer, rotation
+from .core import AffineParams9, PointSet, require_correspondence, require_integer, require_real, rotation
 from .errors import DivergenceError, InvalidParameterError
 
 TRACE_STRIDE = 100
@@ -44,7 +44,8 @@ class RefineConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "iterations", require_integer(self.iterations, "iterations", 1))
-        if not (self.step_size > 0 and math.isfinite(self.step_size)):
+        object.__setattr__(self, "step_size", require_real(self.step_size, "step_size"))
+        if not self.step_size > 0:
             raise InvalidParameterError(f"step_size must be positive, got {self.step_size}")
 
 

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AffineParams9, PointSet, compose, require_integer, transform_array
+from .core import AffineParams9, PointSet, compose, require_integer, require_real, transform_array
 from .errors import DegenerateConfigurationError, FormatError, InvalidParameterError
 from .evaluate import EvalCase
-from .fileio import read_points, write_points
+from .fileio import read_points, write_file, write_points
 
 SCALE_MODES = ("uniform", "nonuniform")
 
@@ -46,8 +46,7 @@ class SynthConfig:
 
     def __post_init__(self) -> None:
         for name in ("box_mm", "t_max", "r_max", "scale_min", "scale_max", "noise_sigma"):
-            if not np.isfinite(getattr(self, name)):
-                raise InvalidParameterError(f"{name} must be finite, got {getattr(self, name)}")
+            object.__setattr__(self, name, require_real(getattr(self, name), name))
         object.__setattr__(self, "n_fit", require_integer(self.n_fit, "n_fit", 3))
         object.__setattr__(self, "n_holdout", require_integer(self.n_holdout, "n_holdout", 0))
         if not self.box_mm > 0:
@@ -206,9 +205,8 @@ def save_cases(cases: list[SyntheticCase], out_dir: str | os.PathLike, config: S
         "config": dataclasses.asdict(config),
         "cases": entries,
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    text = json.dumps(manifest, indent=2) + "\n"
+    write_file(os.path.join(out_dir, "manifest.json"), text.encode("utf-8"))
 
 
 def load_cases(case_dir: str | os.PathLike) -> list[EvalCase]:

@@ -536,6 +536,20 @@ def test_compare_uniform_cases(tmp_path, capsys):
     assert by_name["identity"] > 1.0
 
 
+def test_compare_csv_bytes_are_unchanged(tmp_path):
+    # two cases offset by (3, 4, 0) and (0, 5, 12): identity TREs are exactly 5 and 13 mm
+    corners = [(0.0, 0.0, 0.0), (10.0, 0.0, 0.0), (0.0, 10.0, 0.0), (0.0, 0.0, 10.0)]
+    for case_id, offset in (("case_000", (3.0, 4.0, 0.0)), ("case_001", (0.0, 5.0, 12.0))):
+        case = tmp_path / "cases" / case_id
+        case.mkdir(parents=True)
+        write_points(PointSet(np.array(corners)), case / "moving.csv")
+        write_points(PointSet(np.array(corners) + offset), case / "fixed.csv")
+    csv_path = tmp_path / "table.csv"
+    assert main(["compare", str(tmp_path / "cases"), "--methods", "identity", "--csv", str(csv_path)]) == 0
+    # as written by the release before outputs were rewritten in place
+    assert csv_path.read_bytes() == b"method,mean_mm,std_mm,n_cases\nidentity,9.0,5.656854249492381,2\n"
+
+
 def test_compare_nonuniform_ordering(tmp_path, capsys):
     case_dir = tmp_path / "cases"
     main([

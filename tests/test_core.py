@@ -88,6 +88,12 @@ def test_volume_validation():
         Volume3(dims=(2, 2, 2), spacing=(1, 1, 1), data=np.zeros(7))
 
 
+@pytest.mark.parametrize("dims", [(2.5, 1, 1), (True, 1, 1), (1, 2.0, 1), (1, 1, "2")], ids=repr)
+def test_volume_dims_must_be_integers(dims):
+    with pytest.raises(InvalidParameterError, match="dims"):
+        Volume3(dims=dims, spacing=(1, 1, 1))
+
+
 def test_volume_linear_index_is_x_fastest():
     vol = Volume3(dims=(4, 3, 2), spacing=(1, 1, 1))
     assert vol.linear_index(1, 0, 0) == 1

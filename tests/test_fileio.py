@@ -1,10 +1,14 @@
 """On-disk formats: landmark CSV, transform JSON, volume JSON + raw."""
 
+import errno
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
 
+from landreg import fileio
 from landreg.core import AffineMatrix, AffineParams9, Point3, PointSet, Volume3, compose
 from landreg.errors import FormatError
 from landreg.fileio import (
@@ -226,3 +230,87 @@ def test_write_trace_format(tmp_path):
     path = tmp_path / "trace.csv"
     write_trace([(0, 1.5), (100, 0.25)], path)
     assert path.read_text() == "iteration,loss\n0,1.5\n100,0.25\n"
+
+
+# Outputs are rewritten in place; these pin what that path must keep.
+
+
+def test_shorter_transform_over_a_longer_one_matches_a_fresh_write(tmp_path):
+    params = AffineParams9((1, -2, 3), (0.1, -0.2, 0.3), (1.5, 0.8, 1.1))
+    sheared = np.eye(3)
+    sheared[0, 1] = 0.5
+    matrix = AffineMatrix.from_linear_translation(sheared, [0, 0, 0])
+    fresh = tmp_path / "fresh.json"
+    write_transform(matrix, fresh)
+    path = tmp_path / "t.json"
+    write_transform(compose(params), path, params=params)
+    assert path.stat().st_size > fresh.stat().st_size
+    write_transform(matrix, path)
+    assert path.read_bytes() == fresh.read_bytes()
+
+
+def test_smaller_volume_over_a_larger_one_leaves_no_old_tail(tmp_path):
+    path = tmp_path / "v.json"
+    write_volume(Volume3(dims=(4, 4, 4), spacing=(1, 1, 1), data=np.ones(64)), path)
+    small = Volume3(dims=(2, 2, 2), spacing=(1, 1, 1), data=np.arange(8.0))
+    write_volume(small, path)
+    assert (tmp_path / "v.raw").stat().st_size == 32
+    assert np.array_equal(read_volume(path).data, small.data)
+
+
+def test_writing_through_a_symlink_updates_its_target(tmp_path):
+    target = tmp_path / "target.csv"
+    link = tmp_path / "link.csv"
+    write_points(PointSet(np.zeros((5, 3))), target)
+    link.symlink_to(target.name)
+    points = PointSet(np.array([[1.0, 2.0, 3.0]]), names=("a",))
+    write_points(points, link)
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.read_bytes() == b"name,x,y,z\na,1.0,2.0,3.0\n"
+
+
+def test_rewrite_keeps_mode_and_hard_links(tmp_path):
+    path = tmp_path / "trace.csv"
+    write_trace([(0, 1.5), (100, 0.25), (200, 0.125)], path)
+    path.chmod(0o600)
+    other = tmp_path / "other.csv"
+    os.link(path, other)
+    write_trace([(0, 1.5)], path)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    assert other.read_bytes() == path.read_bytes() == b"iteration,loss\n0,1.5\n"
+
+
+def test_failed_write_leaves_an_empty_file(tmp_path, monkeypatch):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"old" * 100)
+    real_write = os.write
+
+    def write_part_then_fail(fd, data):
+        real_write(fd, bytes(data[:10]))
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "write", write_part_then_fail)
+    with pytest.raises(OSError, match="No space left"):
+        fileio.write_file(path, b"new" * 50)
+    assert path.read_bytes() == b""
+
+
+def test_failed_cut_after_a_failed_write_raises_the_write_error(tmp_path, monkeypatch):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"old" * 100)
+
+    def fail_to_write(fd, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def fail_to_cut(fd, length):
+        raise OSError(errno.EIO, "Input/output error")
+
+    monkeypatch.setattr(os, "write", fail_to_write)
+    monkeypatch.setattr(os, "ftruncate", fail_to_cut)
+    with pytest.raises(OSError, match="No space left"):
+        fileio.write_file(path, b"new" * 50)
+
+
+def test_writing_to_a_file_that_is_not_regular():
+    # ftruncate on a character device fails with EINVAL, so it must not be cut
+    fileio.write_file(os.devnull, b"x")

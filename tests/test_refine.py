@@ -204,6 +204,12 @@ def test_iterations_must_be_an_integer(iterations):
         RefineConfig(iterations=iterations)
 
 
+@pytest.mark.parametrize("step_size", ["1", True, None], ids=repr)
+def test_step_size_must_be_a_real_number(step_size):
+    with pytest.raises(InvalidParameterError, match="step_size"):
+        RefineConfig(step_size=step_size)
+
+
 def test_iterations_may_be_a_numpy_integer():
     moving = PointSet(TETRA)
     result = refine(AffineParams9.identity(), moving, moving, RefineConfig(iterations=np.int64(2)))

@@ -46,6 +46,14 @@ def test_counts_and_seeds_must_be_integers(make):
         make()
 
 
+@pytest.mark.parametrize(
+    "kwargs", [{"box_mm": "5"}, {"t_max": True}, {"r_max": None}, {"noise_sigma": "0"}], ids=repr
+)
+def test_ranges_must_be_real_numbers(kwargs):
+    with pytest.raises(InvalidParameterError, match=next(iter(kwargs))):
+        SynthConfig(**kwargs)
+
+
 def test_counts_and_seeds_may_be_numpy_integers(tmp_path):
     config = SynthConfig(n_fit=np.int64(5), n_holdout=np.int32(2))
     assert config == SynthConfig(n_fit=5, n_holdout=2)
@@ -146,6 +154,55 @@ def test_save_load_round_trip(tmp_path):
         assert np.array_equal(back.moving_eval.coords, src.moving_eval.coords)
         assert np.array_equal(back.fixed_eval.coords, src.fixed_eval.coords)
     assert (tmp_path / "manifest.json").exists()
+
+
+# save_cases(generate_cases(3, 1, config), ...) for the config below, as written
+# by the release before outputs were rewritten in place
+GOLDEN_MANIFEST = """{
+  "seed": 3,
+  "n_cases": 1,
+  "config": {
+    "n_fit": 4,
+    "n_holdout": 1,
+    "box_mm": 50.0,
+    "t_max": 10.0,
+    "r_max": 0.3,
+    "scale_min": 0.8,
+    "scale_max": 1.25,
+    "noise_sigma": 0.5,
+    "scale_mode": "nonuniform"
+  },
+  "cases": [
+    {
+      "case_id": "case_000",
+      "generator": {
+        "t": [
+          9.125345096721972,
+          -4.315976725024171,
+          2.970944141596501
+        ],
+        "r": [
+          0.11772959800209326,
+          -0.12436755059250773,
+          -0.2991059498946983
+        ],
+        "s": [
+          1.2380571236448858,
+          0.934280550357594,
+          0.9412937009154516
+        ]
+      },
+      "noise_sigma": 0.5
+    }
+  ]
+}
+"""
+
+
+def test_manifest_bytes_are_unchanged(tmp_path):
+    config = SynthConfig(n_fit=4, n_holdout=1, noise_sigma=0.5, scale_mode="nonuniform")
+    save_cases(generate_cases(3, 1, config), tmp_path, config)
+    assert (tmp_path / "manifest.json").read_bytes() == GOLDEN_MANIFEST.encode("utf-8")
 
 
 def test_save_is_byte_deterministic(tmp_path):
