@@ -31,6 +31,7 @@ from .fileio import (
     read_points,
     read_transform,
     read_volume,
+    volume_raw_name,
     write_file,
     write_trace,
     write_transform,
@@ -91,11 +92,13 @@ def _read_mask(path: str) -> BinaryMask:
 
 
 def cmd_edt(args: argparse.Namespace) -> int:
+    volume_raw_name(args.out)  # refuse a bad output name before the work
     write_volume(distance_transform(_read_mask(args.mask)).volume, args.out)
     return 0
 
 
 def cmd_make_label(args: argparse.Namespace) -> int:
+    volume_raw_name(args.out)
     template = Volume3(dims=args.dims, spacing=args.spacing, origin=Point3(*args.origin))
     label = make_label(Point3(*args.landmark), template)
     write_volume(label.volume, args.out)

@@ -241,13 +241,12 @@ def read_volume(path: str | os.PathLike) -> Volume3:
         return Volume3(dims=dims, spacing=spacing, origin=Point3(*origin), data=data)
 
 
-def write_volume(volume: Volume3, path: str | os.PathLike) -> None:
-    """Write a volume as JSON header plus raw float32 file.
+def volume_raw_name(path: str | os.PathLike) -> str:
+    """The file name of the raw payload that :func:`write_volume` pairs with ``path``.
 
-    The raw file lands next to the header, named after it with a ``.raw``
-    extension; values are narrowed to 32-bit floats. A header path that
-    itself ends in ``.raw`` would be overwritten by its payload, so it is
-    a :class:`FormatError` and nothing is written.
+    It is the header's file name with a ``.raw`` extension. A header path
+    that itself ends in ``.raw`` would be overwritten by its payload, so it
+    is a :class:`FormatError`; callers check it before computing a volume.
     """
     path = os.fspath(path)
     raw_name = os.path.splitext(os.path.basename(path))[0] + ".raw"
@@ -256,6 +255,18 @@ def write_volume(volume: Volume3, path: str | os.PathLike) -> None:
         path,
         "a volume header may not end in '.raw', the extension of its raw file",
     )
+    return raw_name
+
+
+def write_volume(volume: Volume3, path: str | os.PathLike) -> None:
+    """Write a volume as JSON header plus raw float32 file.
+
+    The raw file lands next to the header, named by :func:`volume_raw_name`;
+    values are narrowed to 32-bit floats. A header path ending in ``.raw``
+    is a :class:`FormatError` and nothing is written.
+    """
+    path = os.fspath(path)
+    raw_name = volume_raw_name(path)
     payload = {
         "dims": [int(d) for d in volume.dims],
         "spacing": [float(s) for s in volume.spacing],

@@ -65,7 +65,9 @@ def test_edt_non_binary_volume_is_format_error(tmp_path, capsys, command):
         "extract": ["extract", str(vol), "--mode", "extremes"],
     }[command]
     assert main(argv) == 2
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {vol}: mask contains 1 voxels outside {{0, 1}} (first: 0.25)\n"
 
 
 def test_edt_empty_mask(tmp_path):
@@ -110,6 +112,33 @@ def test_make_label_landmark_far_outside_is_out_of_bounds(tmp_path, capsys, plac
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("error: landmark (") and "(dims (2, 1, 1), spacing (" in captured.err
     assert not out.exists() and not (tmp_path / "label.raw").exists()
+
+
+def _never(*args):
+    raise AssertionError("computed a volume for an output name that is refused")
+
+
+@pytest.mark.parametrize(
+    "command, landmark",
+    [("edt", None), ("make-label", "4,3,9"), ("make-label", "40,3,9")],
+    ids=["edt", "make-label", "make-label-outside"],
+)
+def test_volume_output_named_raw_is_refused_before_any_work(tmp_path, capsys, monkeypatch, command, landmark):
+    mask = tmp_path / "mask.json"
+    write_mask(mask, (12, 10, 8), (1, 1, 1), [0])
+    before = tree_bytes(tmp_path)
+    monkeypatch.setattr("landreg.cli.distance_transform", _never)
+    monkeypatch.setattr("landreg.cli.make_label", _never)
+    out = str(tmp_path / "out.raw")
+    if command == "edt":
+        argv = ["edt", str(mask), out]
+    else:
+        argv = ["make-label", out, "--landmark", landmark, "--dims", "12,10,8", "--spacing", "1,1,1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {out}: a volume header may not end in '.raw', the extension of its raw file\n"
+    assert tree_bytes(tmp_path) == before
 
 
 def test_make_label_single_voxel_grid(tmp_path):

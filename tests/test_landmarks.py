@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from landreg import landmarks
 from landreg.core import Point3, Volume3
 from landreg.errors import (
     DegenerateGeometryError,
@@ -50,7 +51,7 @@ def random_mask(rng: np.random.Generator, max_dim: int = 12) -> BinaryMask:
 
 
 def test_binary_mask_rejects_non_binary_values():
-    with pytest.raises(InvalidDataError):
+    with pytest.raises(InvalidDataError, match=r"^mask contains 1 voxels outside \{0, 1\} \(first: 0\.5\)$"):
         BinaryMask(Volume3(dims=(2, 1, 1), spacing=(1, 1, 1), data=np.array([0.0, 0.5])))
 
 
@@ -170,16 +171,34 @@ def kind_mask(dims, kind: str, seed: int) -> np.ndarray:
     spacing=st.tuples(*[st.floats(0.3, 4.0)] * 3),
     kind=st.sampled_from(MASK_KINDS),
     seed=st.integers(0, 2**32 - 1),
+    block=st.integers(1, 150),
 )
-@example(dims=(1, 7, 1), spacing=(0.8, 1.3, 2.5), kind="three seeds", seed=1)
-@example(dims=(9, 1, 5), spacing=(0.8, 1.3, 2.5), kind="full line", seed=2)
-@example(dims=(40, 33, 21), spacing=(0.8, 1.3, 2.5), kind="three seeds", seed=404)
-def test_edt_is_bit_identical_to_position_loop(dims, spacing, kind, seed):
-    """The row loop skips rows without a site; nothing else may change a bit.
+@example(dims=(1, 7, 1), spacing=(0.8, 1.3, 2.5), kind="three seeds", seed=1, block=1)
+@example(dims=(9, 1, 5), spacing=(0.8, 1.3, 2.5), kind="full line", seed=2, block=20)
+@example(dims=(7, 5, 11), spacing=(0.8, 1.3, 2.5), kind="30 %", seed=3, block=150)
+@example(dims=(40, 33, 21), spacing=(0.8, 1.3, 2.5), kind="three seeds", seed=404, block=3000)
+def test_edt_is_bit_identical_to_position_loop(dims, spacing, kind, seed, block):
+    """Blocks of output rows and skipped rows without a site may not change a bit.
 
-    The 40x33x21 example has sites in 3 of 33 rows of its y pass.
+    Each mask runs at the real block size, where these grids fit one block,
+    and again with ``block`` values to a block, so that passes span several
+    blocks and may end on a short one: at 150 the 7x5x11 example's passes
+    have blocks of 2, 1 and 4 rows over 7, 5 and 11 rows. The 40x33x21
+    example has sites in 3 of 33 rows of its y pass.
     """
     vol = Volume3(dims=dims, spacing=spacing, data=kind_mask(dims, kind, seed).reshape(-1))
+    want = position_loop_edt(vol)
+    assert np.array_equal(distance_transform(BinaryMask(vol)).volume.data3d(), want)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(landmarks, "_BLOCK_VALUES", block)
+        assert np.array_equal(distance_transform(BinaryMask(vol)).volume.data3d(), want)
+
+
+def test_edt_spanning_several_blocks_is_bit_identical_to_position_loop():
+    """The benchmark's large grid at the real block size: every pass spans several blocks."""
+    dims, spacing = (64, 64, 48), (0.8, 0.8, 2.5)
+    assert landmarks._BLOCK_VALUES < 64 * 64 * 48  # a pass fits one block only if it fits the volume
+    vol = Volume3(dims=dims, spacing=spacing, data=kind_mask(dims, "30 %", 64).reshape(-1))
     got = distance_transform(BinaryMask(vol)).volume.data3d()
     assert np.array_equal(got, position_loop_edt(vol))
 
