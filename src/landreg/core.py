@@ -16,7 +16,6 @@ Conventions, fixed once and relied on everywhere:
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,19 +37,67 @@ SHEAR_TOLERANCE = 1e-6
 # |cos(ry)| below which Euler extraction is refused (gimbal lock).
 _GIMBAL_TOLERANCE = 1e-8
 
+# the types require_real takes: concrete, since isinstance against numbers.Real costs about 0.7 us
+_REALS = (float, int, np.floating, np.integer)
+
+
+def require_integer(value, name: str, minimum: int) -> int:
+    """``value`` as a Python int; raise unless it is an integer of at least ``minimum``.
+
+    Python and numpy integers qualify; ``bool`` and integral floats do not.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise InvalidParameterError(f"{name} must be at least {minimum}, got {value}")
+    return int(value)
+
+
+def require_real(value, name: str) -> float:
+    """``value`` as a Python float; raise unless it is a finite real number.
+
+    Python and numpy integers and floats qualify; ``bool``, strings, 0-d arrays,
+    ``Fraction``, ``Decimal`` and integers too large for a float do not.
+    """
+    if isinstance(value, bool) or not isinstance(value, _REALS):
+        raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise InvalidParameterError(f"{name} must be finite, got an integer of {value.bit_length()} bits") from None
+    if not math.isfinite(value):
+        raise InvalidParameterError(f"{name} must be finite, got {value}")
+    return value
+
+
+def real_array(values, name: str) -> np.ndarray:
+    """``values`` as a new float64 array; raise unless they form an integer or float array (finite or not)."""
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:
+        raise InvalidParameterError(f"{name} must be a rectangular array: {exc}") from None
+    if arr.dtype.kind not in "iuf":
+        raise InvalidParameterError(f"{name} must hold real numbers, got dtype {arr.dtype}")
+    return np.array(arr, dtype=float)
+
+
+def require_three(values, what: str) -> tuple:
+    """The items of ``values``; raise unless there are exactly three."""
+    try:
+        x, y, z = values
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"{what} must have exactly 3 components, got {values!r:.80}") from None
+    return x, y, z
+
 
 def _as_float3(values, what: str) -> tuple[float, float, float]:
-    vals = tuple(float(v) for v in values)
-    if len(vals) != 3:
-        raise InvalidParameterError(f"{what} must have exactly 3 components, got {len(vals)}")
-    if not all(math.isfinite(v) for v in vals):
-        raise InvalidParameterError(f"{what} must be finite, got {vals}")
-    return vals
+    x, y, z = require_three(values, what)
+    return require_real(x, what), require_real(y, what), require_real(z, what)
 
 
 @dataclass(frozen=True)
 class Point3:
-    """A world-space point in millimeters. All components must be finite."""
+    """A world-space point in millimeters. All components must be finite reals."""
 
     x: float
     y: float
@@ -58,10 +105,7 @@ class Point3:
 
     def __post_init__(self):
         for name in ("x", "y", "z"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise InvalidParameterError(f"point component {name} must be finite, got {v}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, require_real(getattr(self, name), f"point component {name}"))
 
 
 class PointSet:
@@ -75,14 +119,13 @@ class PointSet:
     __slots__ = ("_coords", "_names")
 
     def __init__(self, coords, names: Sequence[str] | None = None):
-        arr = np.asarray(coords, dtype=float)
+        arr = real_array(coords, "point set")
         if arr.ndim != 2 or arr.shape[1] != 3:
             raise InvalidParameterError(f"point set must be (n, 3) shaped, got {arr.shape}")
         if arr.shape[0] < 1:
             raise InvalidParameterError("point set must contain at least one point")
         if not np.all(np.isfinite(arr)):
             raise InvalidParameterError("point set contains non-finite coordinates")
-        arr = arr.copy()
         arr.flags.writeable = False
         self._coords = arr
         if names is not None:
@@ -124,17 +167,18 @@ class Volume3:
     data: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        dims = tuple(require_integer(d, "dims", 1) for d in self.dims)
-        if len(dims) != 3:
-            raise InvalidParameterError(f"dims must be 3 positive integers, got {self.dims}")
+        dims = tuple(require_integer(d, "dims", 1) for d in require_three(self.dims, "dims"))
         spacing = _as_float3(self.spacing, "spacing")
         if any(s <= 0 for s in spacing):
             raise InvalidParameterError(f"spacing must be strictly positive, got {spacing}")
         n = dims[0] * dims[1] * dims[2]
         if self.data is None:
-            data = np.zeros(n)
+            try:
+                data = np.zeros(n)
+            except ValueError:  # n beyond what numpy can allocate
+                raise InvalidParameterError(f"dims {dims} hold too many voxels for an array") from None
         else:
-            data = np.array(self.data, dtype=float).reshape(-1)  # the one owned copy
+            data = real_array(self.data, "volume data").reshape(-1)  # the one owned copy
         if data.size != n:
             raise InvalidParameterError(
                 f"data length {data.size} does not match dims product {n}"
@@ -148,10 +192,6 @@ class Volume3:
     def n_voxels(self) -> int:
         nx, ny, nz = self.dims
         return nx * ny * nz
-
-    def linear_index(self, ix: int, iy: int, iz: int) -> int:
-        nx, ny, _ = self.dims
-        return ix + nx * (iy + ny * iz)
 
     def voxel_of_index(self, linear: int) -> tuple[int, int, int]:
         """Voxel (x, y, z) at ``linear``; elementwise for an integer array."""
@@ -213,13 +253,9 @@ class AffineParams9:
     def identity(cls) -> "AffineParams9":
         return cls((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
 
-    def as_vector(self) -> np.ndarray:
-        """Parameters as (tx, ty, tz, rx, ry, rz, sx, sy, sz)."""
-        return np.array(self.t + self.r + self.s)
-
     @classmethod
     def from_vector(cls, v) -> "AffineParams9":
-        v = np.asarray(v, dtype=float).reshape(-1)
+        v = real_array(v, "parameter vector").reshape(-1)
         if v.size != 9:
             raise InvalidParameterError(f"parameter vector must have 9 entries, got {v.size}")
         return cls(tuple(v[0:3]), tuple(v[3:6]), tuple(v[6:9]))
@@ -236,7 +272,7 @@ class AffineMatrix:
     __slots__ = ("_m",)
 
     def __init__(self, m):
-        arr = np.asarray(m, dtype=float)
+        arr = real_array(m, "affine matrix")
         if arr.shape != (4, 4):
             raise InvalidParameterError(f"affine matrix must be 4x4, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -251,7 +287,6 @@ class AffineMatrix:
             raise DegenerateConfigurationError(
                 "linear part of affine matrix is too large: its determinant overflows the float range"
             )
-        arr = arr.copy()
         arr.flags.writeable = False
         self._m = arr
 
@@ -262,8 +297,8 @@ class AffineMatrix:
     @classmethod
     def from_linear_translation(cls, linear, translation) -> "AffineMatrix":
         m = np.eye(4)
-        m[:3, :3] = np.asarray(linear, dtype=float)
-        m[:3, 3] = np.asarray(translation, dtype=float)
+        m[:3, :3] = real_array(linear, "linear part")
+        m[:3, 3] = real_array(translation, "translation")
         return cls(m)
 
     @property
@@ -367,31 +402,6 @@ def decompose(matrix: AffineMatrix) -> AffineParams9:
 def transform_array(matrix: AffineMatrix, coords: np.ndarray) -> np.ndarray:
     """Map each row ``p`` of an (n, 3) array to ``linear @ p + translation``."""
     return coords @ matrix.linear.T + matrix.translation
-
-
-def require_integer(value, name: str, minimum: int) -> int:
-    """``value`` as a Python int; raise unless it is an integer of at least ``minimum``.
-
-    Python and numpy integers qualify; ``bool`` and integral floats do not.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise InvalidParameterError(f"{name} must be at least {minimum}, got {value}")
-    return int(value)
-
-
-def require_real(value, name: str) -> float:
-    """``value`` as a Python float; raise unless it is a finite real number.
-
-    Python and numpy reals qualify; ``bool``, strings and other types do not.
-    """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise InvalidParameterError(f"{name} must be finite, got {value}")
-    return value
 
 
 def require_correspondence(moving: PointSet, fixed: PointSet) -> None:

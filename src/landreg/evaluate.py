@@ -21,7 +21,9 @@ from .core import (
     PointSet,
     compose,
     decompose,
+    real_array,
     require_correspondence,
+    require_real,
     transform_array,
 )
 from .errors import (
@@ -155,17 +157,24 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     """I_x(a, b), the regularized incomplete beta function.
 
-    Raises :class:`InvalidParameterError` for ``x`` outside [0, 1] and
-    :class:`ConvergenceError` when the continued fraction does not settle
-    within its iteration budget (very large ``a`` and ``b``).
+    Raises :class:`InvalidParameterError` unless ``a, b > 0`` and ``x`` in
+    [0, 1] are finite reals, with log-gamma of ``a`` and ``b`` in the float
+    range, and :class:`ConvergenceError` when the continued fraction does not
+    settle within its iteration budget (very large ``a`` and ``b``).
     """
+    a, b, x = require_real(a, "a"), require_real(b, "b"), require_real(x, "x")
+    if not (a > 0.0 and b > 0.0):
+        raise InvalidParameterError(f"a and b must be positive, got {a} and {b}")
     if not 0.0 <= x <= 1.0:
         raise InvalidParameterError(f"x must lie in [0, 1], got {x}")
     if x == 0.0:
         return 0.0
     if x == 1.0:
         return 1.0
-    front = math.exp(a * math.log(x) + b * math.log1p(-x) - _log_beta(a, b))
+    try:
+        front = math.exp(a * math.log(x) + b * math.log1p(-x) - _log_beta(a, b))
+    except OverflowError:  # log-gamma of an argument beyond about 2.5e305
+        raise InvalidParameterError(f"a and b are too large for log-gamma, got {a} and {b}") from None
     # the continued fraction converges fast on one side of the mean a/(a+b)
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _beta_continued_fraction(a, b, x) / a
@@ -179,18 +188,26 @@ def paired_ttest(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
     ``d = a - b`` and the p-value from the t distribution with n - 1
     degrees of freedom via ``I_x(nu/2, 1/2)`` at ``x = nu / (nu + t^2)``.
 
-    Raises :class:`InsufficientSampleError` for n < 2 and
-    :class:`DegenerateTestError` when all differences are identical.
+    Raises :class:`InvalidParameterError` unless both samples are finite
+    reals, :class:`InsufficientSampleError` for n < 2 and
+    :class:`DegenerateTestError` when all differences are identical or
+    their spread overflows the float range.
     """
-    av = np.asarray(a, dtype=float).reshape(-1)
-    bv = np.asarray(b, dtype=float).reshape(-1)
+    av = real_array(a, "sample a").reshape(-1)
+    bv = real_array(b, "sample b").reshape(-1)
+    for name, sample in (("a", av), ("b", bv)):
+        if not np.isfinite(sample).all():
+            raise InvalidParameterError(f"sample {name} must be finite, got {sample.tolist()!r:.80}")
     if av.size != bv.size:
         raise CorrespondenceError(f"paired samples differ in length: {av.size} vs {bv.size}")
     n = av.size
     if n < 2:
         raise InsufficientSampleError(f"paired t test needs at least 2 pairs, got {n}")
-    d = av - bv
-    sd = float(np.std(d, ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = av - bv
+        sd = float(np.std(d, ddof=1))  # non-finite too when the mean overflows
+    if not math.isfinite(sd):
+        raise DegenerateTestError("differences are too large: their spread overflows the float range")
     if sd == 0.0:
         raise DegenerateTestError("differences have zero variance; t statistic is undefined")
     t = float(np.mean(d)) / (sd / math.sqrt(n))

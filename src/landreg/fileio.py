@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import AffineMatrix, AffineParams9, Point3, PointSet, Volume3, decompose
+from .core import AffineMatrix, AffineParams9, Point3, PointSet, Volume3, decompose, require_integer, require_real, require_three
 from .errors import DecompositionError, FormatError, LandregError
 
 POINTS_HEADER = ("name", "x", "y", "z")
@@ -33,11 +33,6 @@ _RAW_DTYPE = np.dtype("<f4")
 def _require(condition: bool, path: str | os.PathLike, message: str) -> None:
     if not condition:
         raise FormatError(f"{path}: {message}")
-
-
-def _is_number(value: object) -> bool:
-    """Whether a decoded JSON value is a number (JSON booleans are not)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @contextmanager
@@ -143,11 +138,11 @@ def read_transform(path: str | os.PathLike) -> AffineMatrix:
         _require("matrix" in payload, path, "transform file lacks a 'matrix' field")
         entries = payload["matrix"]
         _require(
-            isinstance(entries, list) and len(entries) == 16 and all(map(_is_number, entries)),
+            isinstance(entries, list) and len(entries) == 16,
             path,
             "'matrix' must be a list of 16 numbers (row-major)",
         )
-        return AffineMatrix(np.asarray(entries, dtype=float).reshape(4, 4))
+        return AffineMatrix(np.array([require_real(v, "'matrix' entry") for v in entries]).reshape(4, 4))
 
 
 def write_transform(
@@ -178,17 +173,6 @@ def write_transform(
     write_file(path, (json.dumps(payload, indent=2) + "\n").encode("utf-8"))
 
 
-def _triple(payload: dict, key: str, path: str | os.PathLike) -> tuple[float, float, float]:
-    value = payload.get(key)
-    _require(
-        isinstance(value, list) and len(value) == 3 and all(map(_is_number, value)),
-        path,
-        f"'{key}' must be a list of 3 numbers",
-    )
-    with _decoding(f"{path}: '{key}'"):
-        return tuple(float(v) for v in value)
-
-
 def read_volume(path: str | os.PathLike) -> Volume3:
     """Read a volume JSON header and its raw little-endian float32 payload.
 
@@ -207,20 +191,8 @@ def read_volume(path: str | os.PathLike) -> Volume3:
             path,
             f"unsupported dtype {payload['dtype']!r}, expected '{VOLUME_DTYPE}'",
         )
-        dims_raw = payload["dims"]
-        _require(
-            isinstance(dims_raw, list) and len(dims_raw) == 3,
-            path,
-            "'dims' must be a list of 3 integers",
-        )
-        _require(
-            all(isinstance(d, int) and not isinstance(d, bool) for d in dims_raw),
-            path,
-            "'dims' entries must be integers",
-        )
-        dims = tuple(int(d) for d in dims_raw)
-        spacing = _triple(payload, "spacing", path)
-        origin = _triple(payload, "origin", path)
+        nx, ny, nz = (require_integer(d, "dims", 1) for d in require_three(payload["dims"], "dims"))
+        origin = Point3(*require_three(payload["origin"], "origin"))
         raw_name = payload["data"]
         _require(isinstance(raw_name, str), path, "'data' must be a path string")
         _require(
@@ -231,14 +203,14 @@ def read_volume(path: str | os.PathLike) -> Volume3:
         )
         with open(os.path.join(os.path.dirname(os.fspath(path)), raw_name), "rb") as fh:
             blob = fh.read()
-        n = dims[0] * dims[1] * dims[2]
+        n = nx * ny * nz
         _require(
             len(blob) == n * _RAW_DTYPE.itemsize,
             path,
             f"raw file {raw_name!r} holds {len(blob)} bytes, expected {n * _RAW_DTYPE.itemsize}",
         )
         data = np.frombuffer(blob, dtype=_RAW_DTYPE)  # Volume3 widens it in its one copy
-        return Volume3(dims=dims, spacing=spacing, origin=Point3(*origin), data=data)
+        return Volume3(dims=(nx, ny, nz), spacing=payload["spacing"], origin=origin, data=data)
 
 
 def volume_raw_name(path: str | os.PathLike) -> str:

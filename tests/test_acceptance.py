@@ -169,7 +169,7 @@ def test_criterion_4_gradient_matches_central_differences():
             r=rng.uniform(-1.0, 1.0, size=3),
             s=rng.uniform(0.5, 2.0, size=3),
         )
-        theta = params.as_vector()
+        theta = np.array(params.t + params.r + params.s)
         numeric = np.empty(9)
         for j in range(9):
             step = np.zeros(9)

@@ -1,6 +1,8 @@
 """Geometry primitives: validation, index conventions, compose/decompose."""
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from landreg.core import (
     compose,
     decompose,
     require_correspondence,
+    require_real,
     rotation,
     transform_array,
 )
@@ -24,6 +27,8 @@ from landreg.errors import (
     DegenerateConfigurationError,
     InvalidParameterError,
 )
+from landreg.refine import RefineConfig
+from landreg.synth import SynthConfig
 
 angles = st.floats(-math.pi / 2 + 0.1, math.pi / 2 - 0.1)
 scales = st.floats(0.5, 2.0)
@@ -40,6 +45,23 @@ def test_point_components_coerced_to_float():
 def test_point_rejects_non_finite(bad):
     with pytest.raises(InvalidParameterError):
         Point3(0.0, bad, 0.0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: RefineConfig(step_size=10**400), lambda: SynthConfig(box_mm=10**400), lambda: Point3(10**400, 0, 0)],
+    ids=["step_size", "box_mm", "point"],
+)
+def test_integer_beyond_float_range_is_an_invalid_parameter(make):
+    with pytest.raises(InvalidParameterError, match="1329 bits"):
+        make()
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), Decimal("0.5"), np.array(0.5), "0.5"], ids=repr)
+def test_require_real_takes_only_python_and_numpy_reals(bad):
+    with pytest.raises(InvalidParameterError, match="must be a real number"):
+        require_real(bad, "value")
+    assert require_real(np.float32(0.5), "value") == 0.5
 
 
 def test_pointset_shape_checked():
@@ -96,10 +118,10 @@ def test_volume_dims_must_be_integers(dims):
 
 def test_volume_linear_index_is_x_fastest():
     vol = Volume3(dims=(4, 3, 2), spacing=(1, 1, 1))
-    assert vol.linear_index(1, 0, 0) == 1
-    assert vol.linear_index(0, 1, 0) == 4
-    assert vol.linear_index(0, 0, 1) == 12
-    assert vol.linear_index(3, 2, 1) == 3 + 4 * (2 + 3 * 1)
+    assert vol.voxel_of_index(1) == (1, 0, 0)
+    assert vol.voxel_of_index(4) == (0, 1, 0)
+    assert vol.voxel_of_index(12) == (0, 0, 1)
+    assert vol.voxel_of_index(3 + 4 * (2 + 3 * 1)) == (3, 2, 1)
 
 
 @given(
@@ -109,7 +131,8 @@ def test_volume_linear_index_is_x_fastest():
 def test_volume_index_round_trip(dims, raw):
     vol = Volume3(dims=dims, spacing=(1, 1, 1))
     linear = raw % vol.n_voxels
-    assert vol.linear_index(*vol.voxel_of_index(linear)) == linear
+    x, y, z = vol.voxel_of_index(linear)
+    assert x + dims[0] * (y + dims[1] * z) == linear
 
 
 def test_volume_voxel_center_uses_origin_and_spacing():
@@ -121,7 +144,7 @@ def test_volume_data3d_layout_matches_linear_index():
     vol = Volume3(dims=(4, 3, 2), spacing=(1, 1, 1), data=np.arange(24.0))
     cube = vol.data3d()
     assert cube.shape == (2, 3, 4)
-    assert cube[1, 2, 3] == vol.data[vol.linear_index(3, 2, 1)]
+    assert cube[1, 2, 3] == vol.data[3 + 4 * (2 + 3 * 1)]
 
 
 def test_volume_with_data_keeps_geometry():
@@ -142,8 +165,8 @@ def test_params_validation():
 
 def test_params_vector_round_trip():
     p = AffineParams9((1, 2, 3), (0.1, 0.2, 0.3), (1.5, 0.75, 2.0))
-    assert AffineParams9.from_vector(p.as_vector()) == p
-    assert list(p.as_vector()) == [1, 2, 3, 0.1, 0.2, 0.3, 1.5, 0.75, 2.0]
+    assert AffineParams9.from_vector(p.t + p.r + p.s) == p
+    assert list(p.t + p.r + p.s) == [1, 2, 3, 0.1, 0.2, 0.3, 1.5, 0.75, 2.0]
 
 
 def test_affine_matrix_validation():
@@ -237,7 +260,7 @@ def test_decompose_pure_diagonal():
 def test_decompose_round_trip_example():
     p = AffineParams9((1, 0, 0), (0.1, 0.2, 0.3), (1.5, 1.5, 1.5))
     q = decompose(compose(p))
-    assert np.allclose(q.as_vector(), p.as_vector(), atol=1e-9)
+    assert np.allclose(q.t + q.r + q.s, p.t + p.r + p.s, atol=1e-9)
 
 
 @given(

@@ -1,5 +1,6 @@
 """TRE statistics, the paired t test, and the method comparison harness."""
 
+import math
 import os
 from concurrent.futures.process import BrokenProcessPool
 
@@ -117,6 +118,15 @@ def test_incomplete_beta_rejects_x_outside_unit_interval(x):
         regularized_incomplete_beta(2.0, 3.0, x)
 
 
+@pytest.mark.parametrize(
+    "args", [(0, 1, 0.5), (-1, 1, 0.5), (1, -0.5, 0.5), ("a", 1, 0.5), (1, None, 0.5), (True, 1, 0.5), (1e308, 1, 0.5)],
+    ids=repr,
+)
+def test_incomplete_beta_rejects_bad_shape_parameters(args):
+    with pytest.raises(InvalidParameterError):
+        regularized_incomplete_beta(*args)
+
+
 def test_incomplete_beta_non_convergence_is_a_library_error():
     with pytest.raises(ConvergenceError) as info:
         regularized_incomplete_beta(1e6, 1e6, 0.5)
@@ -153,6 +163,25 @@ def test_paired_ttest_degenerate_inputs():
         paired_ttest([1.0], [2.0])
     with pytest.raises(CorrespondenceError):
         paired_ttest([1.0, 2.0], [1.0])
+    # differences whose spread overflows the float range
+    with pytest.raises(DegenerateTestError):
+        paired_ttest([1e308, -1e308], [0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "a, b, sample",
+    [
+        (["a", "b"], [1, 2], "sample a"),
+        ([math.inf, 1, 2], [1, 2, 3], "sample a"),
+        ([math.nan, 1, 2], [1, 2, 3], "sample a"),
+        ([True, False], [1, 2], "sample a"),
+        ([1, 2], [None, 2], "sample b"),
+    ],
+    ids=repr,
+)
+def test_paired_ttest_samples_must_be_finite_reals(a, b, sample):
+    with pytest.raises(InvalidParameterError, match=sample):
+        paired_ttest(a, b)
 
 
 def aligned_case(case_id="c0"):

@@ -185,6 +185,8 @@ def test_volume_rejects_bad_headers(tmp_path):
         lambda d: d.update(spacing=[1.0, True, 1.0]),
         lambda d: d.update(origin=[0.0, 0.0, "1e0"]),
         lambda d: d.update(origin=[False, 0.0, 0.0]),
+        lambda d: d.update(origin=5),
+        lambda d: d.update(dims=[1, 1, 10**400]),
         lambda d: d.update(dtype="f64"),
         lambda d: d.update(data=17),
         lambda d: d.update(data=str(raw)),

@@ -213,8 +213,8 @@ def test_make_label_is_edt_of_its_voxel():
         origin = Point3(*rng.uniform(-30.0, 30.0, size=3))
         template = Volume3(dims=dims, spacing=spacing, origin=origin)
         voxel = tuple(int(rng.integers(0, d)) for d in dims)
-        seed = np.zeros(template.n_voxels)
-        seed[template.linear_index(*voxel)] = 1.0
+        seed = np.zeros(dims[::-1])
+        seed[voxel[::-1]] = 1.0
         d = distance_transform(BinaryMask(template.with_data(seed))).volume.data
         label = make_label(template.voxel_center(*voxel), template)
         assert np.array_equal(label.volume.data, np.exp(-10.0 * (d / d.max())))
@@ -272,7 +272,7 @@ def test_make_label_peak_is_exactly_one():
         label = make_label(template.voxel_center(*voxel), template)
         data = label.volume.data
         assert data.max() == 1.0
-        assert data[template.linear_index(*voxel)] == 1.0
+        assert label.volume.data3d()[voxel[::-1]] == 1.0
         assert data.min() >= LABEL_FLOOR
 
 
@@ -367,10 +367,10 @@ def test_extremes_direct_extent():
 
 def test_extremes_tie_breaks_to_smallest_linear_index():
     vol = Volume3(dims=(2, 3, 1), spacing=(1, 1, 1))
-    data = np.zeros(6)
+    data = np.zeros((1, 3, 2))
     # features at (0, 1) and (0, 2): same x, tie resolves to the lower y row
-    data[vol.linear_index(0, 1, 0)] = 1.0
-    data[vol.linear_index(0, 2, 0)] = 1.0
+    data[0, 1, 0] = 1.0
+    data[0, 2, 0] = 1.0
     lo, hi = extract_extremes(BinaryMask(vol.with_data(data)))
     assert lo == Point3(0.0, 1.0, 0.0)
     assert hi == Point3(0.0, 1.0, 0.0)
