@@ -38,7 +38,7 @@ from .fileio import (
     write_volume,
 )
 from .landmarks import BinaryMask, distance_transform, extract_extremes, make_label, recover_landmark
-from .refine import RefineConfig, refine
+from .refine import TRACE_STRIDE, RefineConfig, refine
 from .synth import SCALE_MODES, SynthConfig, generate_cases, load_cases, save_cases
 from .umeyama import umeyama_fit
 
@@ -155,11 +155,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
     config = SynthConfig(
         n_fit=args.n_fit,
         n_holdout=args.n_holdout,
-        box_mm=args.box,
-        t_max=args.t_max,
-        r_max=args.r_max,
-        scale_min=args.scale_min,
-        scale_max=args.scale_max,
         noise_sigma=args.noise,
         scale_mode=args.scale_mode,
     )
@@ -225,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--refine", action="store_true", help="refine all nine parameters with Adam after the closed-form fit")
     p.add_argument("--iters", type=int, default=10000, help="refinement iterations")
     p.add_argument("--lr", type=float, default=1e-5, help="refinement step size")
-    p.add_argument("--trace", metavar="CSV", help="write per-iteration loss CSV (requires --refine)")
+    p.add_argument("--trace", metavar="CSV", help=f"write the loss at iterations 0, 1, every {TRACE_STRIDE}th "
+                   "and the last as CSV (requires --refine)")
     p.set_defaults(func=cmd_register)
 
     p = sub.add_parser(
@@ -260,11 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale-mode", choices=SCALE_MODES, default="uniform", help="one shared scale or three independent scales")
     p.add_argument("--n-fit", type=int, default=4, help="fitting landmarks per case")
     p.add_argument("--n-holdout", type=int, default=1, help="hold-out landmarks per case")
-    p.add_argument("--box", type=float, default=50.0, help="landmark box edge in mm")
-    p.add_argument("--t-max", type=float, default=10.0, help="max |translation| per axis in mm")
-    p.add_argument("--r-max", type=float, default=0.3, help="max |rotation| per axis in rad")
-    p.add_argument("--scale-min", type=float, default=0.8, help="smallest generator scale")
-    p.add_argument("--scale-max", type=float, default=1.25, help="largest generator scale")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser(

@@ -41,15 +41,18 @@ _GIMBAL_TOLERANCE = 1e-8
 _REALS = (float, int, np.floating, np.integer)
 
 
-def require_integer(value, name: str, minimum: int) -> int:
-    """``value`` as a Python int; raise unless it is an integer of at least ``minimum``.
+def require_integer(value, name: str, minimum: int, maximum: int | None = None) -> int:
+    """``value`` as a Python int; raise unless it is an integer in ``[minimum, maximum]``.
 
     Python and numpy integers qualify; ``bool`` and integral floats do not.
+    ``maximum`` of ``None`` leaves the value unbounded above.
     """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise InvalidParameterError(f"{name} must be at least {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise InvalidParameterError(f"{name} must be at most {maximum}, got {value!s:.80}")
     return int(value)
 
 
@@ -199,6 +202,11 @@ class Volume3:
         return linear % nx, (linear // nx) % ny, linear // (nx * ny)
 
     def voxel_center(self, ix: int, iy: int, iz: int) -> Point3:
+        """World coordinate of voxel (ix, iy, iz); each index an integer on the grid."""
+        nx, ny, nz = self.dims
+        ix = require_integer(ix, "voxel index ix", 0, nx - 1)
+        iy = require_integer(iy, "voxel index iy", 0, ny - 1)
+        iz = require_integer(iz, "voxel index iz", 0, nz - 1)
         sx, sy, sz = self.spacing
         return Point3(self.origin.x + ix * sx, self.origin.y + iy * sy, self.origin.z + iz * sz)
 

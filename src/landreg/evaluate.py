@@ -59,7 +59,10 @@ class TREStat:
     def from_values(cls, values: Sequence[float]) -> "TREStat":
         """Summarize TRE values; :class:`DegenerateConfigurationError` if any
         value, the mean or the std is not finite (an overflowed distance)."""
-        vals = tuple(float(v) for v in values)
+        arr = real_array(values, "TRE values")
+        if arr.ndim != 1:
+            raise InvalidParameterError(f"TRE values must be one-dimensional, got shape {arr.shape}")
+        vals = tuple(arr.tolist())
         if not vals:
             raise InsufficientSampleError("cannot summarize an empty TRE list")
         with np.errstate(over="ignore", invalid="ignore"):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Point3, Volume3
+from .core import Point3, Volume3, require_integer
 from .errors import (
     DegenerateConfigurationError,
     DegenerateGeometryError,
@@ -236,8 +236,7 @@ def extract_extremes(mask: BinaryMask, axis: int = 0) -> tuple[Point3, Point3]:
     feature points of an axial view. Ties resolve to the smallest linear
     index. A single-feature mask returns the same point twice.
     """
-    if axis not in (0, 1, 2):
-        raise InvalidDataError(f"axis must be 0, 1, or 2, got {axis}")
+    axis = require_integer(axis, "axis", 0, 2)
     vol = mask.volume
     flat = np.flatnonzero(vol.data)
     if flat.size == 0:

@@ -56,8 +56,8 @@ class RefineResult:
     ``params`` and ``final_loss`` describe the best iterate visited, so
     ``final_loss <= initial_loss`` always; ``best_iteration`` is the
     iteration at which ``final_loss`` was first reached (0 for the start).
-    ``loss_trace`` holds (iteration, loss) samples: iteration 0, every
-    100th, and the last.
+    ``loss_trace`` holds (iteration, loss) samples: iterations 0 and 1,
+    every ``TRACE_STRIDE``-th (100), and the last.
     """
 
     params: AffineParams9

@@ -10,7 +10,6 @@ identical cases byte for byte.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 from dataclasses import dataclass
@@ -24,6 +23,19 @@ from .fileio import read_points, write_file, write_points
 
 SCALE_MODES = ("uniform", "nonuniform")
 
+# generator ranges, suited to organ-scale anatomy in mm: landmarks fill a
+# BOX_MM cube centered on the origin; each translation and rotation
+# component is drawn from [-T_MAX, T_MAX] mm and [-R_MAX, R_MAX] rad, each
+# scale from [SCALE_MIN, SCALE_MAX]
+BOX_MM = 50.0
+T_MAX = 10.0
+R_MAX = 0.3
+SCALE_MIN = 0.8
+SCALE_MAX = 1.25
+
+# the largest landmark count whose (n, 3) float64 array numpy can shape
+_MAX_POINTS = np.iinfo(np.intp).max // (3 * np.dtype(float).itemsize)
+
 # reject nearly flat landmark clouds: smallest/largest singular value of the
 # centered cloud must stay above this
 _CONDITIONING_FLOOR = 0.05
@@ -32,36 +44,17 @@ _MAX_DRAWS = 100
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Ranges for the synthetic generator; defaults suit organ-scale anatomy in mm."""
+    """Landmark counts, noise and scale mode for the synthetic generator."""
 
     n_fit: int = 4
     n_holdout: int = 1
-    box_mm: float = 50.0
-    t_max: float = 10.0
-    r_max: float = 0.3
-    scale_min: float = 0.8
-    scale_max: float = 1.25
     noise_sigma: float = 0.0
     scale_mode: str = "uniform"
 
     def __post_init__(self) -> None:
-        for name in ("box_mm", "t_max", "r_max", "scale_min", "scale_max", "noise_sigma"):
-            object.__setattr__(self, name, require_real(getattr(self, name), name))
-        object.__setattr__(self, "n_fit", require_integer(self.n_fit, "n_fit", 3))
-        object.__setattr__(self, "n_holdout", require_integer(self.n_holdout, "n_holdout", 0))
-        if not self.box_mm > 0:
-            raise InvalidParameterError(f"box_mm must be positive, got {self.box_mm}")
-        if self.t_max < 0 or self.r_max < 0:
-            raise InvalidParameterError("t_max and r_max must be non-negative")
-        # the generator draws over [-max, max], whose width must be a float
-        if not np.isfinite(2.0 * max(self.t_max, self.r_max)):
-            raise InvalidParameterError(
-                f"t_max and r_max must not exceed half the float range, got {self.t_max} and {self.r_max}"
-            )
-        if not 0 < self.scale_min <= self.scale_max:
-            raise InvalidParameterError(
-                f"need 0 < scale_min <= scale_max, got [{self.scale_min}, {self.scale_max}]"
-            )
+        object.__setattr__(self, "n_fit", require_integer(self.n_fit, "n_fit", 3, _MAX_POINTS))
+        object.__setattr__(self, "n_holdout", require_integer(self.n_holdout, "n_holdout", 0, _MAX_POINTS))
+        object.__setattr__(self, "noise_sigma", require_real(self.noise_sigma, "noise_sigma"))
         if self.noise_sigma < 0:
             raise InvalidParameterError(f"noise_sigma must be non-negative, got {self.noise_sigma}")
         if self.scale_mode not in SCALE_MODES:
@@ -70,31 +63,17 @@ class SynthConfig:
             )
 
 
-@dataclass(frozen=True)
-class SyntheticCase:
-    """One generated case with its ground-truth transform."""
+@dataclass(frozen=True, kw_only=True)
+class SyntheticCase(EvalCase):
+    """A generated case: an :class:`EvalCase` plus the transform, noise and seed that produced it."""
 
-    case_id: str
-    moving: PointSet
-    fixed: PointSet
-    moving_eval: PointSet | None
-    fixed_eval: PointSet | None
     generator: AffineParams9
     noise_sigma: float
     seed: int
 
-    def as_eval_case(self) -> EvalCase:
-        return EvalCase(
-            case_id=self.case_id,
-            moving=self.moving,
-            fixed=self.fixed,
-            moving_eval=self.moving_eval,
-            fixed_eval=self.fixed_eval,
-        )
 
-
-def _draw_cloud(rng: np.random.Generator, n: int, box_mm: float) -> np.ndarray:
-    half = 0.5 * box_mm
+def _draw_cloud(rng: np.random.Generator, n: int) -> np.ndarray:
+    half = 0.5 * BOX_MM
     for _ in range(_MAX_DRAWS):
         pts = rng.uniform(-half, half, size=(n, 3))
         sv = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
@@ -105,13 +84,13 @@ def _draw_cloud(rng: np.random.Generator, n: int, box_mm: float) -> np.ndarray:
     )
 
 
-def _draw_generator(rng: np.random.Generator, config: SynthConfig) -> AffineParams9:
-    t = rng.uniform(-config.t_max, config.t_max, size=3)
-    r = rng.uniform(-config.r_max, config.r_max, size=3)
-    if config.scale_mode == "uniform":
-        s = np.full(3, rng.uniform(config.scale_min, config.scale_max))
+def _draw_generator(rng: np.random.Generator, scale_mode: str) -> AffineParams9:
+    t = rng.uniform(-T_MAX, T_MAX, size=3)
+    r = rng.uniform(-R_MAX, R_MAX, size=3)
+    if scale_mode == "uniform":
+        s = np.full(3, rng.uniform(SCALE_MIN, SCALE_MAX))
     else:
-        s = rng.uniform(config.scale_min, config.scale_max, size=3)
+        s = rng.uniform(SCALE_MIN, SCALE_MAX, size=3)
     return AffineParams9(t=tuple(t), r=tuple(r), s=tuple(s))
 
 
@@ -138,10 +117,10 @@ def generate_case(seed: int, case_index: int, config: SynthConfig | None = None)
     cfg = config if config is not None else SynthConfig()
     rng = np.random.default_rng(np.random.SeedSequence([seed, case_index]))
 
-    moving_fit = _draw_cloud(rng, cfg.n_fit, cfg.box_mm)
-    half = 0.5 * cfg.box_mm
+    moving_fit = _draw_cloud(rng, cfg.n_fit)
+    half = 0.5 * BOX_MM
     moving_hold = rng.uniform(-half, half, size=(cfg.n_holdout, 3))
-    generator = _draw_generator(rng, cfg)
+    generator = _draw_generator(rng, cfg.scale_mode)
     matrix = compose(generator)
 
     fixed_fit = _add_noise(rng, transform_array(matrix, moving_fit), cfg.noise_sigma)
@@ -202,7 +181,12 @@ def save_cases(cases: list[SyntheticCase], out_dir: str | os.PathLike, config: S
     manifest = {
         "seed": cases[0].seed,
         "n_cases": len(cases),
-        "config": dataclasses.asdict(config),
+        # the ranges stay in the manifest, so it records every generator setting
+        "config": {
+            "n_fit": config.n_fit, "n_holdout": config.n_holdout,
+            "box_mm": BOX_MM, "t_max": T_MAX, "r_max": R_MAX, "scale_min": SCALE_MIN, "scale_max": SCALE_MAX,
+            "noise_sigma": config.noise_sigma, "scale_mode": config.scale_mode,
+        },
         "cases": entries,
     }
     text = json.dumps(manifest, indent=2) + "\n"

@@ -49,8 +49,8 @@ def test_point_rejects_non_finite(bad):
 
 @pytest.mark.parametrize(
     "make",
-    [lambda: RefineConfig(step_size=10**400), lambda: SynthConfig(box_mm=10**400), lambda: Point3(10**400, 0, 0)],
-    ids=["step_size", "box_mm", "point"],
+    [lambda: RefineConfig(step_size=10**400), lambda: SynthConfig(noise_sigma=10**400), lambda: Point3(10**400, 0, 0)],
+    ids=["step_size", "noise_sigma", "point"],
 )
 def test_integer_beyond_float_range_is_an_invalid_parameter(make):
     with pytest.raises(InvalidParameterError, match="1329 bits"):
@@ -138,6 +138,15 @@ def test_volume_index_round_trip(dims, raw):
 def test_volume_voxel_center_uses_origin_and_spacing():
     vol = Volume3(dims=(3, 3, 3), spacing=(0.5, 2.0, 3.0), origin=Point3(-1.0, 10.0, 0.25))
     assert vol.voxel_center(2, 1, 1) == Point3(-1.0 + 1.0, 12.0, 3.25)
+    assert vol.voxel_center(np.int64(2), np.int32(1), np.uint8(1)) == Point3(0.0, 12.0, 3.25)
+
+
+@pytest.mark.parametrize("bad", ["1", 1.5, 1.0, True, None, -1, 3], ids=repr)
+def test_volume_voxel_center_takes_only_indices_on_the_grid(bad):
+    vol = Volume3(dims=(3, 3, 3), spacing=(1.0, 1.0, 1.0))
+    for args in ((bad, 0, 0), (0, bad, 0), (0, 0, bad)):
+        with pytest.raises(InvalidParameterError, match="voxel index"):
+            vol.voxel_center(*args)
 
 
 def test_volume_data3d_layout_matches_linear_index():

@@ -62,6 +62,12 @@ def test_stat_rejects_non_finite_summary(values):
         TREStat.from_values(values)
 
 
+@pytest.mark.parametrize("values", [["a"], [None], [True], [[1.0, 2.0]], 3.0], ids=repr)
+def test_stat_values_must_be_a_real_array(values):
+    with pytest.raises(InvalidParameterError, match="TRE values"):
+        TREStat.from_values(values)
+
+
 def test_stat_format():
     assert str(TREStat.from_values([1.0, 2.0])) == "1.500 ± 0.707 mm"
 
@@ -199,7 +205,7 @@ def test_compare_single_identity_case():
 
 
 def test_compare_identity_vs_umeyama_on_similarity_cases():
-    cases = [c.as_eval_case() for c in generate_cases(2, 4, SynthConfig())]
+    cases = generate_cases(2, 4, SynthConfig())
     table = compare_methods(cases, [identity_method(), umeyama_method()])
     assert table.fit["umeyama"].mean < 1e-9
     assert table.fit["identity"].mean > 1.0
@@ -209,7 +215,7 @@ def test_compare_identity_vs_umeyama_on_similarity_cases():
 
 def test_compare_refinement_improves_nonuniform_cases():
     cfg = SynthConfig(scale_mode="nonuniform")
-    cases = [c.as_eval_case() for c in generate_cases(6, 4, cfg)]
+    cases = generate_cases(6, 4, cfg)
     table = compare_methods(
         cases, [umeyama_method(), refined_method(RefineConfig(iterations=3000))]
     )
@@ -311,7 +317,7 @@ def test_compare_reports_a_dead_worker(several_cpus):
 
 def test_compare_forked_workers_equal_one_worker(monkeypatch):
     cfg = SynthConfig(scale_mode="nonuniform", noise_sigma=1.0)
-    cases = [c.as_eval_case() for c in generate_cases(11, 6, cfg)]
+    cases = generate_cases(11, 6, cfg)
     methods = [identity_method(), umeyama_method(), refined_method(RefineConfig(iterations=500))]
     forked_calls = []
     run_forked = evaluate._run_leading_cases_forked
@@ -353,7 +359,7 @@ def test_compare_degenerate_ttest_recorded_as_none():
 
 
 def test_compare_csv_and_text_output():
-    cases = [c.as_eval_case() for c in generate_cases(4, 3, SynthConfig())]
+    cases = generate_cases(4, 3, SynthConfig())
     table = compare_methods(cases, [identity_method(), umeyama_method()])
     csv = table.to_csv()
     lines = csv.strip().split("\n")
@@ -369,6 +375,6 @@ def test_compare_csv_and_text_output():
 
 
 def test_compare_skips_holdout_when_any_case_lacks_it():
-    with_holdout = generate_cases(5, 1, SynthConfig())[0].as_eval_case()
+    with_holdout = generate_cases(5, 1, SynthConfig())[0]
     table = compare_methods([with_holdout, aligned_case()], [identity_method()])
     assert table.holdout == {}

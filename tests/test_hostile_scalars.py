@@ -1,7 +1,8 @@
 """Direct library calls on hostile scalars: a valid result or a library error.
 
 The library twin of the hostile-file test in ``test_errors.py``. Each case
-calls one constructor or function of ``landreg.__all__`` (or ``Point3`` and
+calls one constructor or function of ``landreg.__all__`` (or ``Point3``,
+``Volume3.voxel_center``, ``extract_extremes``, ``TREStat.from_values`` and
 ``regularized_incomplete_beta``, which share its checks) with one numeric or
 count argument replaced by a hostile value. The call must return or raise a
 ``LandregError``; a foreign exception or a ``RuntimeWarning`` fails it. A
@@ -39,7 +40,8 @@ from landreg import (
 )
 from landreg.core import AffineMatrix, Point3
 from landreg.errors import LandregError
-from landreg.evaluate import regularized_incomplete_beta
+from landreg.evaluate import TREStat, regularized_incomplete_beta
+from landreg.landmarks import BinaryMask, extract_extremes
 
 HOSTILE = st.one_of(
     st.sampled_from(
@@ -58,7 +60,8 @@ HOSTILE = st.one_of(
 TETRA = [[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [0.0, 10.0, 0.0], [0.0, 0.0, 10.0]]
 MOVING = PointSet(TETRA)
 FIXED = PointSet(np.array(TETRA) * 1.5 + 2.0)
-SYNTH_NUMBERS = ("n_fit", "n_holdout", "box_mm", "t_max", "r_max", "scale_min", "scale_max", "noise_sigma")
+SYNTH_NUMBERS = ("n_fit", "n_holdout", "noise_sigma")
+GRID = Volume3((2, 2, 2), (1.0, 1.0, 1.0), data=np.ones(8))
 
 
 def _put(values, slot, value):
@@ -105,15 +108,18 @@ CASES = {
     "Point3": (SCALAR, lambda v, i: Point3(*_put((1.0, 2.0, 3.0), i, v))),
     "PointSet": (ELEMENT, _points),
     "RefineConfig": (SCALAR, lambda v, i: RefineConfig(**{("iterations", "step_size")[i % 2]: v})),
-    "SynthConfig": (SCALAR, lambda v, i: SynthConfig(**{SYNTH_NUMBERS[i % 8]: v})),
+    "SynthConfig": (SCALAR, lambda v, i: SynthConfig(**{SYNTH_NUMBERS[i % 3]: v})),
+    "TREStat.from_values": (ELEMENT, lambda v, i: TREStat.from_values(_put((1.0, 2.0), i, v))),
     "Volume3 dims": (SCALAR, lambda v, i: Volume3(_put((2, 1, 1), i, v), (1.0, 1.0, 1.0))),
     "Volume3 spacing": (SCALAR, lambda v, i: Volume3((2, 1, 1), _put((1.0, 1.0, 1.0), i, v))),
     "Volume3 data": (ELEMENT, lambda v, i: Volume3((2, 1, 1), (1.0, 1.0, 1.0), data=_put((0.0, 1.0), i, v))),
+    "Volume3.voxel_center": (SCALAR, lambda v, i: GRID.voxel_center(*_put((1, 1, 1), i, v))),
     "compose": (SCALAR, lambda v, i: compose(_triples(v, i))),
     "decompose": (ELEMENT, lambda v, i: decompose(_matrix(v, i))),
     "generate_cases seed": (SCALAR, lambda v, i: generate_cases(v, 1, SynthConfig(n_holdout=0))),
     "generate_cases n_cases": (SCALAR, lambda v, i: _generate_cases(v)),
-    "generate_cases ranges": (SCALAR, lambda v, i: generate_cases(0, 1, SynthConfig(**{SYNTH_NUMBERS[2 + i % 6]: v}))),
+    "generate_cases config": (SCALAR, lambda v, i: generate_cases(0, 1, SynthConfig(**{SYNTH_NUMBERS[i % 3]: v}))),
+    "extract_extremes": (SCALAR, lambda v, i: extract_extremes(BinaryMask(GRID), v)),
     "loss_gradient": (SCALAR, lambda v, i: loss_gradient(_params(v, i), MOVING, FIXED)),
     "paired_ttest": (ELEMENT, lambda v, i: paired_ttest(*_samples(v, i))),
     "refine": (SCALAR, lambda v, i: refine(_params(v, i), MOVING, FIXED, RefineConfig(iterations=3))),
@@ -163,6 +169,16 @@ def test_every_public_name_has_a_case():
 @example(case="RefineConfig", slot=1, value=10**400)
 @example(case="SynthConfig", slot=2, value=10**400)
 @example(case="Point3", slot=0, value=10**400)
+# counts numpy cannot shape, indices and axes that are not integers, array elements that are not numbers
+@example(case="generate_cases config", slot=0, value=10**400)
+@example(case="generate_cases config", slot=1, value=10**400)
+@example(case="Volume3.voxel_center", slot=0, value="1")
+@example(case="Volume3.voxel_center", slot=1, value=1.5)
+@example(case="Volume3.voxel_center", slot=2, value=True)
+@example(case="extract_extremes", slot=0, value=True)
+@example(case="extract_extremes", slot=0, value=1.0)
+@example(case="TREStat.from_values", slot=0, value="a")
+@example(case="TREStat.from_values", slot=0, value=None)
 def test_hostile_scalar_gives_a_result_or_a_library_error(case, slot, value):
     kind, call = CASES[case]
     with warnings.catch_warnings():

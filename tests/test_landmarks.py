@@ -11,6 +11,7 @@ from landreg.core import Point3, Volume3
 from landreg.errors import (
     DegenerateGeometryError,
     InvalidDataError,
+    InvalidParameterError,
     NoFeatureError,
     OutOfBoundsError,
 )
@@ -410,5 +411,7 @@ def test_extremes_empty_mask_raises():
 def test_extremes_axis_validated():
     data = np.ones(8)
     mask = BinaryMask(Volume3(dims=(2, 2, 2), spacing=(1, 1, 1), data=data))
-    with pytest.raises(InvalidDataError):
-        extract_extremes(mask, axis=3)
+    for axis in (3, -1, True, 1.0, "1", None):
+        with pytest.raises(InvalidParameterError, match="axis"):
+            extract_extremes(mask, axis=axis)
+    assert extract_extremes(mask, axis=np.int64(2)) == extract_extremes(mask, axis=2)

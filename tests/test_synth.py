@@ -1,11 +1,25 @@
 """Seeded synthetic case generation and its on-disk layout."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from landreg.core import compose, transform_array
 from landreg.errors import FormatError, InvalidParameterError
-from landreg.synth import SynthConfig, generate_case, generate_cases, load_cases, save_cases
+from landreg.evaluate import EvalCase
+from landreg.synth import (
+    BOX_MM,
+    R_MAX,
+    SCALE_MAX,
+    SCALE_MIN,
+    T_MAX,
+    SynthConfig,
+    generate_case,
+    generate_cases,
+    load_cases,
+    save_cases,
+)
 
 
 @pytest.mark.parametrize(
@@ -13,16 +27,17 @@ from landreg.synth import SynthConfig, generate_case, generate_cases, load_cases
     [
         {"n_fit": 2},
         {"n_holdout": -1},
-        {"box_mm": 0.0},
-        {"t_max": -1.0},
-        {"scale_min": 0.0},
-        {"scale_min": 2.0, "scale_max": 1.0},
         {"noise_sigma": -0.5},
         {"scale_mode": "fancy"},
+        # counts whose (n, 3) float64 array numpy cannot shape
+        {"n_fit": 10**400},
+        {"n_holdout": 10**400},
+        {"n_fit": 10**18},
+        {"n_holdout": np.int64(10**18)},
     ],
 )
 def test_config_validation(kwargs):
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match=next(iter(kwargs))):
         SynthConfig(**kwargs)
 
 
@@ -47,7 +62,7 @@ def test_counts_and_seeds_must_be_integers(make):
 
 
 @pytest.mark.parametrize(
-    "kwargs", [{"box_mm": "5"}, {"t_max": True}, {"r_max": None}, {"noise_sigma": "0"}], ids=repr
+    "kwargs", [{"noise_sigma": "0"}, {"noise_sigma": True}, {"noise_sigma": None}], ids=repr
 )
 def test_ranges_must_be_real_numbers(kwargs):
     with pytest.raises(InvalidParameterError, match=next(iter(kwargs))):
@@ -117,6 +132,17 @@ def test_generator_ranges_respected():
         assert all(abs(v) <= 0.3 for v in case.generator.r)
         assert all(0.8 <= v <= 1.25 for v in case.generator.s)
         assert np.abs(case.moving.coords).max() <= 25.0
+
+
+def test_config_holds_only_what_callers_vary():
+    assert [f.name for f in dataclasses.fields(SynthConfig)] == ["n_fit", "n_holdout", "noise_sigma", "scale_mode"]
+    assert (BOX_MM, T_MAX, R_MAX, SCALE_MIN, SCALE_MAX) == (50.0, 10.0, 0.3, 0.8, 1.25)
+
+
+def test_synthetic_case_is_an_eval_case():
+    case = generate_case(1, 0)
+    assert isinstance(case, EvalCase)
+    assert (case.case_id, case.seed, case.noise_sigma) == ("case_000", 1, 0.0)
 
 
 def test_point_names_and_counts():
