@@ -20,13 +20,7 @@ import sys
 
 from .core import Point3, Volume3, compose, decompose
 from .errors import CorrespondenceError, FormatError, InvalidDataError, LandregError
-from .evaluate import (
-    compare_methods,
-    identity_method,
-    refined_method,
-    tre,
-    umeyama_method,
-)
+from .evaluate import METHODS, compare_methods, tre
 from .fileio import (
     read_points,
     read_transform,
@@ -41,12 +35,6 @@ from .landmarks import BinaryMask, distance_transform, extract_extremes, make_la
 from .refine import TRACE_STRIDE, RefineConfig, refine
 from .synth import SCALE_MODES, SynthConfig, generate_cases, load_cases, save_cases
 from .umeyama import umeyama_fit
-
-_METHOD_FACTORIES = {
-    "identity": identity_method,
-    "umeyama": umeyama_method,
-    "umeyama+refine": refined_method,
-}
 
 _AXES = {"x": 0, "y": 1, "z": 2}
 
@@ -74,8 +62,8 @@ def _triple_ints(text: str) -> tuple[int, int, int]:
 def _methods_arg(text: str) -> tuple[str, ...]:
     names = tuple(part.strip() for part in text.split(","))
     for name in names:
-        if name not in _METHOD_FACTORIES:
-            known = ", ".join(sorted(_METHOD_FACTORIES))
+        if name not in METHODS:
+            known = ", ".join(sorted(METHODS))
             raise argparse.ArgumentTypeError(f"unknown method {name!r} (known: {known})")
     if len(set(names)) != len(names):
         raise argparse.ArgumentTypeError(f"duplicate method in {text!r}")
@@ -166,8 +154,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     cases = load_cases(args.case_dir)
-    methods = [_METHOD_FACTORIES[name]() for name in args.methods]
-    comparison = compare_methods(cases, methods)
+    comparison = compare_methods(cases, {name: METHODS[name] for name in args.methods})
     if args.csv:
         write_file(args.csv, comparison.to_csv().encode("utf-8"))
     print(comparison.to_text(), end="")
@@ -267,9 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--methods",
         type=_methods_arg,
-        default=("identity", "umeyama", "umeyama+refine"),
+        default=tuple(METHODS),
         metavar="A,B,...",
-        help="comma-separated method names: identity, umeyama, umeyama+refine",
+        help=f"comma-separated method names: {', '.join(METHODS)}",
     )
     p.add_argument("--csv", metavar="PATH", help="also write the table as CSV")
     p.set_defaults(func=cmd_compare)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -38,8 +38,8 @@ from .errors import (
 from .refine import RefineConfig, refine
 from .umeyama import umeyama_fit
 
-# A registration method: a label plus a fitter from (moving, fixed) to a transform.
-Method = tuple[str, Callable[[PointSet, PointSet], AffineMatrix]]
+# A registration method's fitter: (moving, fixed) to a transform.
+Fitter = Callable[[PointSet, PointSet], AffineMatrix]
 
 
 @dataclass(frozen=True)
@@ -95,13 +95,22 @@ class RegistrationReport:
 
 @dataclass(frozen=True)
 class EvalCase:
-    """One registration case: fitting landmark pairs plus optional hold-outs."""
+    """One registration case: fitting landmark pairs plus optional hold-outs.
+
+    The hold-out sets come as a pair: both or neither, else
+    :class:`InvalidParameterError`.
+    """
 
     case_id: str
     moving: PointSet
     fixed: PointSet
     moving_eval: PointSet | None = None
     fixed_eval: PointSet | None = None
+
+    def __post_init__(self) -> None:
+        if (self.moving_eval is None) != (self.fixed_eval is None):
+            given = "moving_eval" if self.fixed_eval is None else "fixed_eval"
+            raise InvalidParameterError(f"hold-out landmarks need moving_eval and fixed_eval, got {given} only")
 
 
 def tre(transform: AffineMatrix, moving_eval: PointSet, fixed_eval: PointSet) -> TREStat:
@@ -219,25 +228,18 @@ def paired_ttest(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
     return t, p
 
 
-def identity_method() -> Method:
-    """The no-registration baseline."""
-    return "identity", lambda moving, fixed: AffineMatrix.identity()
-
-
-def umeyama_method() -> Method:
-    """Closed-form similarity fit."""
-    return "umeyama", umeyama_fit
-
-
-def refined_method(config: RefineConfig | None = None) -> Method:
+def refined_fit(moving: PointSet, fixed: PointSet, config: RefineConfig | None = None) -> AffineMatrix:
     """Similarity fit followed by Adam refinement of all nine parameters."""
-    cfg = config if config is not None else RefineConfig()
+    start = decompose(umeyama_fit(moving, fixed))
+    return compose(refine(start, moving, fixed, config).params)
 
-    def fit(moving: PointSet, fixed: PointSet) -> AffineMatrix:
-        start = decompose(umeyama_fit(moving, fixed))
-        return compose(refine(start, moving, fixed, cfg).params)
 
-    return "umeyama+refine", fit
+# The registration methods by name, in the order ``compare`` runs them by default.
+METHODS: dict[str, Fitter] = {
+    "identity": lambda moving, fixed: AffineMatrix.identity(),
+    "umeyama": umeyama_fit,
+    "umeyama+refine": refined_fit,
+}
 
 
 @dataclass(frozen=True)
@@ -297,19 +299,19 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_case(case: EvalCase, methods: Sequence[Method]) -> list[RegistrationReport]:
+def _run_case(case: EvalCase, methods: Mapping[str, Fitter]) -> list[RegistrationReport]:
     """Every method on one case: its transform, fit TRE and hold-out TRE.
 
     A library error is re-raised as the same object, its message prefixed
     with the case id and method name.
     """
     reports = []
-    for name, fitter in methods:
+    for name, fitter in methods.items():
         try:
             transform = fitter(case.moving, case.fixed)
             fit_stat = tre(transform, case.moving, case.fixed)
             holdout_stat = None
-            if case.moving_eval is not None and case.fixed_eval is not None:
+            if case.moving_eval is not None:
                 holdout_stat = tre(transform, case.moving_eval, case.fixed_eval)
         except LandregError as exc:
             exc.args = (f"[case {case.case_id}, method {name}] {exc}",)
@@ -328,10 +330,10 @@ def _run_case(case: EvalCase, methods: Sequence[Method]) -> list[RegistrationRep
 
 # The cohort of a forked worker process, installed right after the fork so
 # that the fitters (closures, lambdas) are inherited and never pickled.
-_worker_cohort: tuple[Sequence[EvalCase], Sequence[Method]] | None = None
+_worker_cohort: tuple[Sequence[EvalCase], Mapping[str, Fitter]] | None = None
 
 
-def _install_worker_cohort(cases: Sequence[EvalCase], methods: Sequence[Method]) -> None:
+def _install_worker_cohort(cases: Sequence[EvalCase], methods: Mapping[str, Fitter]) -> None:
     global _worker_cohort
     _worker_cohort = (cases, methods)
 
@@ -346,7 +348,7 @@ def _run_worker_case(index: int) -> list[RegistrationReport] | None:
 
 
 def _run_leading_cases_forked(
-    cases: Sequence[EvalCase], methods: Sequence[Method], workers: int
+    cases: Sequence[EvalCase], methods: Mapping[str, Fitter], workers: int
 ) -> list[list[RegistrationReport]]:
     """Reports of the cases before the first failing one, run on forked workers.
 
@@ -371,14 +373,16 @@ def _run_leading_cases_forked(
     return done
 
 
-def compare_methods(cases: Sequence[EvalCase], methods: Sequence[Method]) -> MethodComparison:
+def compare_methods(cases: Sequence[EvalCase], methods: Mapping[str, Fitter]) -> MethodComparison:
     """Run every method on every case and aggregate TRE across cases.
 
-    Per case, TRE is the mean over that case's fitting landmarks (and
-    separately over hold-out landmarks when present); the cohort mean/std
-    is then taken over cases. Pairwise paired t tests compare per-case
-    means between methods; a degenerate pair (identical per-case results)
-    is recorded as None rather than raising.
+    ``methods`` maps each method name to its fitter, for example
+    :data:`METHODS` or a selection from it. Per case, TRE is the mean over
+    that case's fitting landmarks (and separately over hold-out landmarks
+    when present); the cohort mean/std is then taken over cases. Pairwise
+    paired t tests compare per-case means between methods; a degenerate
+    pair (identical per-case results) is recorded as None rather than
+    raising.
 
     Cases run on forked worker processes, one per usable CPU, and are
     assembled in case order, so the result equals a serial run. A case
@@ -390,9 +394,7 @@ def compare_methods(cases: Sequence[EvalCase], methods: Sequence[Method]) -> Met
     """
     if not cases:
         raise InsufficientSampleError("compare_methods needs at least one case")
-    names = [name for name, _ in methods]
-    if len(set(names)) != len(names):
-        raise CorrespondenceError(f"duplicate method names in {names}")
+    names = list(methods)
 
     workers = min(len(cases), _usable_cpus())
     forked = workers > 1 and hasattr(os, "fork")
@@ -406,9 +408,7 @@ def compare_methods(cases: Sequence[EvalCase], methods: Sequence[Method]) -> Met
         per_method_fit[report.method].append(report.fit_tre.mean)
         if report.holdout_tre is not None:
             per_method_holdout[report.method].append(report.holdout_tre.mean)
-    all_have_holdout = all(
-        case.moving_eval is not None and case.fixed_eval is not None for case in cases
-    )
+    all_have_holdout = all(case.moving_eval is not None for case in cases)
 
     fit_stats = {name: TREStat.from_values(per_method_fit[name]) for name in names}
     holdout_stats = (

@@ -33,6 +33,9 @@ R_MAX = 0.3
 SCALE_MIN = 0.8
 SCALE_MAX = 1.25
 
+# case ids run case_000 ... case_999, so their names sort in generation order
+MAX_CASES = 1000
+
 # the largest landmark count whose (n, 3) float64 array numpy can shape
 _MAX_POINTS = np.iinfo(np.intp).max // (3 * np.dtype(float).itemsize)
 
@@ -110,10 +113,10 @@ def generate_case(seed: int, case_index: int, config: SynthConfig | None = None)
 
     Cases are independent: each draws its randomness from
     ``SeedSequence([seed, case_index])``, so a case does not change when
-    its neighbors do.
+    its neighbors do. ``case_index`` lies in [0, ``MAX_CASES`` - 1].
     """
     seed = require_integer(seed, "seed", 0)
-    case_index = require_integer(case_index, "case_index", 0)
+    case_index = require_integer(case_index, "case_index", 0, MAX_CASES - 1)
     cfg = config if config is not None else SynthConfig()
     rng = np.random.default_rng(np.random.SeedSequence([seed, case_index]))
 
@@ -143,7 +146,8 @@ def generate_case(seed: int, case_index: int, config: SynthConfig | None = None)
 
 
 def generate_cases(seed: int, n_cases: int, config: SynthConfig | None = None) -> list[SyntheticCase]:
-    return [generate_case(seed, i, config) for i in range(require_integer(n_cases, "n_cases", 1))]
+    """Cases 0 to ``n_cases`` - 1 of the stream ``seed``, with ``n_cases`` in [1, ``MAX_CASES``]."""
+    return [generate_case(seed, i, config) for i in range(require_integer(n_cases, "n_cases", 1, MAX_CASES))]
 
 
 def save_cases(cases: list[SyntheticCase], out_dir: str | os.PathLike, config: SynthConfig) -> None:
@@ -153,10 +157,22 @@ def save_cases(cases: list[SyntheticCase], out_dir: str | os.PathLike, config: S
     with the eval files present only when the case has hold-out points,
     and ``<out_dir>/manifest.json`` recording the config, seed, and the
     exact generator parameters of every case.
+
+    An ``out_dir`` that already holds ``case_*`` directories this call does
+    not write is a :class:`FormatError`, raised before anything is written:
+    ``load_cases`` would mix those stale cases into the new ones.
     """
     if not cases:
         raise InvalidParameterError("save_cases needs at least one case")
     out_dir = os.fspath(out_dir)
+    if os.path.isdir(out_dir):
+        written = {case.case_id for case in cases}
+        stale = sorted(
+            entry for entry in os.listdir(out_dir)
+            if entry.startswith("case_") and entry not in written and os.path.isdir(os.path.join(out_dir, entry))
+        )
+        if stale:
+            raise FormatError(f"{out_dir}: holds case directories this run does not write: {', '.join(stale)}")
     os.makedirs(out_dir, exist_ok=True)
     entries = []
     for case in cases:
@@ -164,7 +180,7 @@ def save_cases(cases: list[SyntheticCase], out_dir: str | os.PathLike, config: S
         os.makedirs(case_dir, exist_ok=True)
         write_points(case.moving, os.path.join(case_dir, "moving.csv"))
         write_points(case.fixed, os.path.join(case_dir, "fixed.csv"))
-        if case.moving_eval is not None and case.fixed_eval is not None:
+        if case.moving_eval is not None:
             write_points(case.moving_eval, os.path.join(case_dir, "moving_eval.csv"))
             write_points(case.fixed_eval, os.path.join(case_dir, "fixed_eval.csv"))
         entries.append(
@@ -196,8 +212,10 @@ def save_cases(cases: list[SyntheticCase], out_dir: str | os.PathLike, config: S
 def load_cases(case_dir: str | os.PathLike) -> list[EvalCase]:
     """Load every ``case_*`` subdirectory holding moving/fixed CSVs.
 
-    Hold-out CSVs are optional per case. Cases come back sorted by
-    directory name; a directory with no cases is a format error.
+    Hold-out CSVs are optional per case, but come as a pair: a case with
+    one of ``moving_eval.csv`` and ``fixed_eval.csv`` is a format error
+    naming its directory. Cases come back sorted by directory name; a
+    directory with no cases is a format error.
     """
     case_dir = os.fspath(case_dir)
     cases: list[EvalCase] = []
@@ -207,21 +225,15 @@ def load_cases(case_dir: str | os.PathLike) -> list[EvalCase]:
         fixed_path = os.path.join(sub, "fixed.csv")
         if not (os.path.isdir(sub) and os.path.isfile(moving_path) and os.path.isfile(fixed_path)):
             continue
-        moving_eval = fixed_eval = None
         me_path = os.path.join(sub, "moving_eval.csv")
         fe_path = os.path.join(sub, "fixed_eval.csv")
-        if os.path.isfile(me_path) and os.path.isfile(fe_path):
-            moving_eval = read_points(me_path)
-            fixed_eval = read_points(fe_path)
-        cases.append(
-            EvalCase(
-                case_id=entry,
-                moving=read_points(moving_path),
-                fixed=read_points(fixed_path),
-                moving_eval=moving_eval,
-                fixed_eval=fixed_eval,
-            )
-        )
+        moving_eval = read_points(me_path) if os.path.isfile(me_path) else None
+        fixed_eval = read_points(fe_path) if os.path.isfile(fe_path) else None
+        moving, fixed = read_points(moving_path), read_points(fixed_path)
+        try:
+            cases.append(EvalCase(entry, moving, fixed, moving_eval, fixed_eval))
+        except InvalidParameterError as exc:
+            raise FormatError(f"{sub}: {exc}") from exc
     if not cases:
         raise FormatError(f"{case_dir}: no case subdirectories with moving.csv and fixed.csv")
     return cases

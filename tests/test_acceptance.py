@@ -315,7 +315,8 @@ def tree_bytes(root):
     for base, _, files in os.walk(root):
         for name in files:
             full = os.path.join(base, name)
-            out[os.path.relpath(full, root)] = open(full, "rb").read()
+            with open(full, "rb") as fh:
+                out[os.path.relpath(full, root)] = fh.read()
     return out
 
 

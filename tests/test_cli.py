@@ -31,7 +31,8 @@ def tree_bytes(root):
     for base, _, files in os.walk(root):
         for name in files:
             full = os.path.join(base, name)
-            out[os.path.relpath(full, root)] = open(full, "rb").read()
+            with open(full, "rb") as fh:
+                out[os.path.relpath(full, root)] = fh.read()
     return out
 
 
@@ -478,6 +479,33 @@ def test_synth_rejects_unwritable_directory(tmp_path, capsys):
     assert main(["synth", str(blocker / "sub"), "--seed", "1"]) == 2
 
 
+def test_synth_refuses_stale_cases_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "cases"
+    assert main(["synth", str(out), "--seed", "1", "--cases", "5"]) == 0
+    before = tree_bytes(out)
+    capsys.readouterr()
+    assert main(["synth", str(out), "--seed", "2", "--cases", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "case_003, case_004" in captured.err
+    assert tree_bytes(out) == before
+    assert main(["synth", str(out), "--seed", "2", "--cases", "5"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["seed"] == 2
+
+
+@pytest.mark.parametrize("kept", ["moving_eval.csv", "fixed_eval.csv"])
+def test_compare_refuses_half_a_holdout_pair(tmp_path, capsys, kept):
+    case_dir = tmp_path / "cases"
+    main(["synth", str(case_dir), "--seed", "2", "--cases", "2"])
+    dropped = ({"moving_eval.csv", "fixed_eval.csv"} - {kept}).pop()
+    (case_dir / "case_001" / dropped).unlink()
+    capsys.readouterr()
+    assert main(["compare", str(case_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {case_dir / 'case_001'}: ")
+
+
 @pytest.mark.parametrize("flag", ["--box", "--t-max", "--r-max", "--scale-min", "--scale-max"])
 def test_synth_generator_ranges_are_not_options(tmp_path, capsys, flag):
     out = tmp_path / "cases"
@@ -509,6 +537,7 @@ def test_synth_noise_that_overflows_names_noise_sigma(tmp_path, capsys):
         ["synth", "OUT", "--seed", "1", "--n-fit", "0"],
         ["synth", "OUT", "--seed", "-1"],
         ["synth", "OUT", "--seed", "1", "--cases", "0"],
+        ["synth", "OUT", "--seed", "1", "--cases", "1001"],
         ["register", "MOVING", "FIXED", "OUT", "--refine", "--lr", "0"],
         ["register", "MOVING", "FIXED", "OUT", "--refine", "--lr", "nan"],
         ["register", "MOVING", "FIXED", "OUT", "--iters", "0"],
@@ -610,7 +639,25 @@ def test_compare_empty_directory(tmp_path):
     assert main(["compare", str(empty)]) == 2
 
 
-def test_compare_unknown_method(tmp_path):
+def test_compare_unknown_method(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main(["compare", str(tmp_path), "--methods", "identity,wizardry"])
     assert info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument --methods: unknown method 'wizardry' (known: identity, umeyama, umeyama+refine)\n"
+    )
+
+
+def test_compare_duplicate_method(tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["compare", str(tmp_path), "--methods", "umeyama,umeyama"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith("error: argument --methods: duplicate method in 'umeyama,umeyama'\n")
+
+
+def test_compare_methods_default_to_the_registry(capsys):
+    with pytest.raises(SystemExit):
+        main(["compare", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "comma-separated method names: identity, umeyama, umeyama+refine" in help_text
+    assert "(default: ('identity', 'umeyama', 'umeyama+refine'))" in help_text

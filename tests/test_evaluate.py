@@ -1,5 +1,6 @@
 """TRE statistics, the paired t test, and the method comparison harness."""
 
+import functools
 import math
 import os
 from concurrent.futures.process import BrokenProcessPool
@@ -9,7 +10,7 @@ import pytest
 import scipy.special
 import scipy.stats
 
-from landreg.core import AffineMatrix, AffineParams9, PointSet, compose, transform_array
+from landreg.core import AffineMatrix, AffineParams9, PointSet, compose, decompose, transform_array
 from landreg.errors import (
     ConvergenceError,
     CorrespondenceError,
@@ -21,18 +22,18 @@ from landreg.errors import (
 )
 from landreg import evaluate
 from landreg.evaluate import (
+    METHODS,
     EvalCase,
     TREStat,
     compare_methods,
-    identity_method,
     paired_ttest,
-    refined_method,
+    refined_fit,
     regularized_incomplete_beta,
     tre,
-    umeyama_method,
 )
-from landreg.refine import RefineConfig
+from landreg.refine import RefineConfig, refine
 from landreg.synth import SynthConfig, generate_cases
+from landreg.umeyama import umeyama_fit
 
 TETRA = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [0.0, 10.0, 0.0], [0.0, 0.0, 10.0]])
 
@@ -190,13 +191,29 @@ def test_paired_ttest_samples_must_be_finite_reals(a, b, sample):
         paired_ttest(a, b)
 
 
+@pytest.mark.parametrize("given", ["moving_eval", "fixed_eval"])
+def test_eval_case_takes_both_holdout_sets_or_neither(given):
+    ps = PointSet(TETRA)
+    with pytest.raises(InvalidParameterError, match=f"got {given} only"):
+        EvalCase(case_id="c0", moving=ps, fixed=ps, **{given: ps})
+
+
+def test_methods_registry_runs_in_the_default_order():
+    assert list(METHODS) == ["identity", "umeyama", "umeyama+refine"]
+    case = generate_cases(6, 1, SynthConfig(scale_mode="nonuniform"))[0]
+    config = RefineConfig(iterations=200)
+    expected = compose(refine(decompose(umeyama_fit(case.moving, case.fixed)), case.moving, case.fixed, config).params)
+    assert np.array_equal(refined_fit(case.moving, case.fixed, config).matrix, expected.matrix)
+    assert np.array_equal(METHODS["identity"](case.moving, case.fixed).matrix, np.eye(4))
+
+
 def aligned_case(case_id="c0"):
     ps = PointSet(TETRA)
     return EvalCase(case_id=case_id, moving=ps, fixed=ps)
 
 
 def test_compare_single_identity_case():
-    table = compare_methods([aligned_case()], [identity_method()])
+    table = compare_methods([aligned_case()], {"identity": METHODS["identity"]})
     stat = table.fit["identity"]
     assert (stat.mean, stat.std) == (0.0, 0.0)
     assert table.n_cases == 1
@@ -206,7 +223,7 @@ def test_compare_single_identity_case():
 
 def test_compare_identity_vs_umeyama_on_similarity_cases():
     cases = generate_cases(2, 4, SynthConfig())
-    table = compare_methods(cases, [identity_method(), umeyama_method()])
+    table = compare_methods(cases, {name: METHODS[name] for name in ("identity", "umeyama")})
     assert table.fit["umeyama"].mean < 1e-9
     assert table.fit["identity"].mean > 1.0
     assert ("identity", "umeyama") in table.ttests
@@ -216,9 +233,8 @@ def test_compare_identity_vs_umeyama_on_similarity_cases():
 def test_compare_refinement_improves_nonuniform_cases():
     cfg = SynthConfig(scale_mode="nonuniform")
     cases = generate_cases(6, 4, cfg)
-    table = compare_methods(
-        cases, [umeyama_method(), refined_method(RefineConfig(iterations=3000))]
-    )
+    refined = functools.partial(refined_fit, config=RefineConfig(iterations=3000))
+    table = compare_methods(cases, {"umeyama": METHODS["umeyama"], "umeyama+refine": refined})
     assert table.fit["umeyama+refine"].mean < table.fit["umeyama"].mean
 
 
@@ -229,7 +245,7 @@ def test_compare_annotates_errors_with_case_id():
         fixed=PointSet(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])),
     )
     with pytest.raises(DegenerateConfigurationError, match="broken"):
-        compare_methods([bad], [umeyama_method()])
+        compare_methods([bad], {"umeyama": METHODS["umeyama"]})
 
 
 @pytest.fixture
@@ -260,7 +276,7 @@ def test_compare_keeps_error_class_and_attributes(case_ids, several_cpus):
     cases, diverging = failing_at_last(case_ids, lambda: DivergenceError("boom", iteration=7))
 
     with pytest.raises(DivergenceError) as info:
-        compare_methods(cases, [("diverging", diverging)])
+        compare_methods(cases, {"diverging": diverging})
     assert info.value.iteration == 7
     assert str(info.value) == "[case c7, method diverging] boom"
 
@@ -271,7 +287,7 @@ def test_compare_lets_foreign_errors_propagate_untouched(case_ids, several_cpus)
     cases, broken = failing_at_last(case_ids, lambda: original)
 
     with pytest.raises(UnicodeDecodeError) as info:
-        compare_methods(cases, [("broken", broken)])
+        compare_methods(cases, {"broken": broken})
     assert info.value is original
 
 
@@ -285,7 +301,7 @@ def test_compare_raises_the_earliest_failing_case(several_cpus):
         return AffineMatrix.identity()
 
     with pytest.raises(DivergenceError) as info:
-        compare_methods(cases, [("diverging", diverging)])
+        compare_methods(cases, {"diverging": diverging})
     assert info.value.iteration == 1
     assert str(info.value) == "[case c1, method diverging] boom"
 
@@ -299,7 +315,7 @@ def test_compare_recovers_a_case_that_fails_only_in_a_worker(several_cpus):
             raise MemoryError
         return AffineMatrix.identity()
 
-    table = compare_methods(cases, [("flaky", flaky)])
+    table = compare_methods(cases, {"flaky": flaky})
     assert [report.case_id for report in table.reports] == ["c0", "c1", "c2"]
 
 
@@ -312,13 +328,13 @@ def test_compare_reports_a_dead_worker(several_cpus):
         return AffineMatrix.identity()
 
     with pytest.raises(BrokenProcessPool):
-        compare_methods([aligned_case("a"), aligned_case("b")], [("dying", dying)])
+        compare_methods([aligned_case("a"), aligned_case("b")], {"dying": dying})
 
 
 def test_compare_forked_workers_equal_one_worker(monkeypatch):
     cfg = SynthConfig(scale_mode="nonuniform", noise_sigma=1.0)
     cases = generate_cases(11, 6, cfg)
-    methods = [identity_method(), umeyama_method(), refined_method(RefineConfig(iterations=500))]
+    methods = {**METHODS, "umeyama+refine": functools.partial(refined_fit, config=RefineConfig(iterations=500))}
     forked_calls = []
     run_forked = evaluate._run_leading_cases_forked
 
@@ -344,23 +360,21 @@ def test_compare_forked_workers_equal_one_worker(monkeypatch):
     assert forked.to_text() == serial.to_text()
 
 
-def test_compare_requires_cases_and_unique_names():
+def test_compare_requires_cases():
     with pytest.raises(InsufficientSampleError):
-        compare_methods([], [identity_method()])
-    with pytest.raises(CorrespondenceError):
-        compare_methods([aligned_case()], [identity_method(), identity_method()])
+        compare_methods([], {"identity": METHODS["identity"]})
 
 
 def test_compare_degenerate_ttest_recorded_as_none():
     cases = [aligned_case("a"), aligned_case("b")]
-    table = compare_methods(cases, [identity_method(), umeyama_method()])
+    table = compare_methods(cases, {name: METHODS[name] for name in ("identity", "umeyama")})
     # both methods are exact on aligned data, so differences are all zero
     assert table.ttests[("identity", "umeyama")] is None
 
 
 def test_compare_csv_and_text_output():
     cases = generate_cases(4, 3, SynthConfig())
-    table = compare_methods(cases, [identity_method(), umeyama_method()])
+    table = compare_methods(cases, {name: METHODS[name] for name in ("identity", "umeyama")})
     csv = table.to_csv()
     lines = csv.strip().split("\n")
     assert lines[0] == "method,mean_mm,std_mm,n_cases"
@@ -376,5 +390,5 @@ def test_compare_csv_and_text_output():
 
 def test_compare_skips_holdout_when_any_case_lacks_it():
     with_holdout = generate_cases(5, 1, SynthConfig())[0]
-    table = compare_methods([with_holdout, aligned_case()], [identity_method()])
+    table = compare_methods([with_holdout, aligned_case()], {"identity": METHODS["identity"]})
     assert table.holdout == {}

@@ -12,7 +12,8 @@ README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))
 
 
 def test_readme_library_example_runs():
-    text = open(README, encoding="utf-8").read()
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
     section = text.split("## Library example", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     with contextlib.redirect_stdout(io.StringIO()) as printed:

@@ -10,6 +10,7 @@ from landreg.errors import FormatError, InvalidParameterError
 from landreg.evaluate import EvalCase
 from landreg.synth import (
     BOX_MM,
+    MAX_CASES,
     R_MAX,
     SCALE_MAX,
     SCALE_MIN,
@@ -78,6 +79,17 @@ def test_counts_and_seeds_may_be_numpy_integers(tmp_path):
     assert [len(case.moving) for case in load_cases(tmp_path)] == [5]
 
 
+def test_case_count_is_bounded_so_ids_sort_in_generation_order():
+    assert MAX_CASES == 1000
+    assert generate_case(0, MAX_CASES - 1).case_id == "case_999"
+    with pytest.raises(InvalidParameterError, match="n_cases must be at most 1000"):
+        generate_cases(0, MAX_CASES + 1)
+    with pytest.raises(InvalidParameterError, match="n_cases must be at most 1000"):
+        generate_cases(0, 10**400)
+    with pytest.raises(InvalidParameterError, match="case_index must be at most 999"):
+        generate_case(0, MAX_CASES)
+
+
 def test_generation_is_deterministic():
     a = generate_case(12, 3)
     b = generate_case(12, 3)
@@ -143,6 +155,8 @@ def test_synthetic_case_is_an_eval_case():
     case = generate_case(1, 0)
     assert isinstance(case, EvalCase)
     assert (case.case_id, case.seed, case.noise_sigma) == ("case_000", 1, 0.0)
+    with pytest.raises(InvalidParameterError, match="fixed_eval"):
+        dataclasses.replace(case, moving_eval=None)
 
 
 def test_point_names_and_counts():
@@ -250,6 +264,31 @@ def test_load_skips_holdout_when_files_missing(tmp_path):
     config = SynthConfig()
     save_cases(generate_cases(1, 1, config), tmp_path, config)
     (tmp_path / "case_000" / "moving_eval.csv").unlink()
+    (tmp_path / "case_000" / "fixed_eval.csv").unlink()
     loaded = load_cases(tmp_path)
     assert loaded[0].moving_eval is None
     assert loaded[0].fixed_eval is None
+
+
+@pytest.mark.parametrize("dropped", ["moving_eval.csv", "fixed_eval.csv"])
+def test_load_refuses_half_a_holdout_pair(tmp_path, dropped):
+    config = SynthConfig()
+    save_cases(generate_cases(1, 2, config), tmp_path, config)
+    (tmp_path / "case_001" / dropped).unlink()
+    with pytest.raises(FormatError, match="case_001: hold-out landmarks need moving_eval and fixed_eval"):
+        load_cases(tmp_path)
+
+
+def test_save_refuses_stale_case_directories_before_writing(tmp_path):
+    config = SynthConfig()
+    save_cases(generate_cases(1, 5, config), tmp_path, config)
+    manifest = (tmp_path / "manifest.json").read_bytes()
+    first = (tmp_path / "case_000" / "fixed.csv").read_bytes()
+    with pytest.raises(FormatError, match="case_003, case_004$"):
+        save_cases(generate_cases(2, 3, config), tmp_path, config)
+    assert (tmp_path / "manifest.json").read_bytes() == manifest
+    assert (tmp_path / "case_000" / "fixed.csv").read_bytes() == first
+    # the same count or more rewrites every stale case
+    save_cases(generate_cases(2, 5, config), tmp_path, config)
+    save_cases(generate_cases(3, 6, config), tmp_path, config)
+    assert [case.case_id for case in load_cases(tmp_path)] == [f"case_{i:03d}" for i in range(6)]
