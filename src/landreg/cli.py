@@ -19,7 +19,7 @@ import functools
 import sys
 
 from .core import Point3, Volume3, compose, decompose
-from .errors import CorrespondenceError, FormatError, InvalidDataError, LandregError
+from .errors import FormatError, InvalidDataError, LandregError
 from .evaluate import METHODS, compare_methods, tre
 from .fileio import (
     read_points,
@@ -81,15 +81,14 @@ def _read_mask(path: str) -> BinaryMask:
 
 def cmd_edt(args: argparse.Namespace) -> int:
     volume_raw_name(args.out)  # refuse a bad output name before the work
-    write_volume(distance_transform(_read_mask(args.mask)).volume, args.out)
+    write_volume(distance_transform(_read_mask(args.mask)), args.out)
     return 0
 
 
 def cmd_make_label(args: argparse.Namespace) -> int:
     volume_raw_name(args.out)
     template = Volume3(dims=args.dims, spacing=args.spacing, origin=Point3(*args.origin))
-    label = make_label(Point3(*args.landmark), template)
-    write_volume(label.volume, args.out)
+    write_volume(make_label(Point3(*args.landmark), template), args.out)
     return 0
 
 
@@ -99,10 +98,6 @@ def cmd_register(args: argparse.Namespace) -> int:
         raise FormatError("--trace requires --refine")
     moving = read_points(args.moving)
     fixed = read_points(args.fixed)
-    if moving.names is not None and fixed.names is not None and moving.names != fixed.names:
-        raise CorrespondenceError(
-            f"landmark names disagree: {list(moving.names)} vs {list(fixed.names)}"
-        )
     matrix = umeyama_fit(moving, fixed)
     if args.refine:
         result = refine(decompose(matrix), moving, fixed, config)

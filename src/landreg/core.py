@@ -116,7 +116,8 @@ class PointSet:
 
     Order carries the correspondence: index i in a moving set pairs with
     index i in the fixed set. Coordinates are held as an immutable
-    (n, 3) float64 array; ``names`` optionally labels each point.
+    (n, 3) float64 array; ``names`` optionally labels each point, and two
+    named sets pair only if their names agree (:func:`require_correspondence`).
     """
 
     __slots__ = ("_coords", "_names")
@@ -413,7 +414,12 @@ def transform_array(matrix: AffineMatrix, coords: np.ndarray) -> np.ndarray:
 
 
 def require_correspondence(moving: PointSet, fixed: PointSet) -> None:
-    """Raise unless the two sets pair element-wise by length."""
+    """Raise unless the two sets pair element-wise: equal names where both are named, then equal lengths.
+
+    A named set paired with an unnamed one pairs by order alone.
+    """
+    if moving.names is not None and fixed.names is not None and moving.names != fixed.names:
+        raise CorrespondenceError(f"landmark names disagree: {list(moving.names)} vs {list(fixed.names)}")
     if len(moving) != len(fixed):
         raise CorrespondenceError(
             f"point sets differ in size: {len(moving)} moving vs {len(fixed)} fixed"

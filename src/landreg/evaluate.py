@@ -248,7 +248,8 @@ class MethodComparison:
 
     ``fit`` (and ``holdout`` where hold-out landmarks exist) map method
     name to the TREStat over per-case mean TREs. ``ttests`` maps ordered
-    method-name pairs to (t, p), or None when the test is degenerate.
+    method-name pairs to (t, p), or None when the test is degenerate or
+    there are fewer than 2 cases.
     """
 
     methods: tuple[str, ...]
@@ -284,7 +285,8 @@ class MethodComparison:
             lines.append("paired t tests on per-case mean TRE (fitting landmarks)")
             for (ma, mb), result in self.ttests.items():
                 if result is None:
-                    lines.append(f"{ma} vs {mb}: degenerate (zero-variance differences)")
+                    reason = "needs at least 2 cases" if self.n_cases < 2 else "degenerate (zero-variance differences)"
+                    lines.append(f"{ma} vs {mb}: {reason}")
                 else:
                     t, p = result
                     lines.append(f"{ma} vs {mb}: t = {t:.3f}, p = {p:.3g}")
@@ -381,8 +383,9 @@ def compare_methods(cases: Sequence[EvalCase], methods: Mapping[str, Fitter]) ->
     that case's fitting landmarks (and separately over hold-out landmarks
     when present); the cohort mean/std is then taken over cases. Pairwise
     paired t tests compare per-case means between methods; a degenerate
-    pair (identical per-case results) is recorded as None rather than
-    raising.
+    pair (identical per-case results, or a single case) is recorded as None
+    rather than raising. No case or no method is
+    :class:`InsufficientSampleError`.
 
     Cases run on forked worker processes, one per usable CPU, and are
     assembled in case order, so the result equals a serial run. A case
@@ -394,6 +397,8 @@ def compare_methods(cases: Sequence[EvalCase], methods: Mapping[str, Fitter]) ->
     """
     if not cases:
         raise InsufficientSampleError("compare_methods needs at least one case")
+    if not methods:
+        raise InsufficientSampleError("compare_methods needs at least one method")
     names = list(methods)
 
     workers = min(len(cases), _usable_cpus())

@@ -34,7 +34,6 @@ from .errors import (
 )
 
 LABEL_DECAY = 10.0  # exponent factor in the label map
-LABEL_FLOOR = math.exp(-LABEL_DECAY)
 _BLOCK_VALUES = 32_768  # floats per block of output rows in a minimum pass (256 KB)
 
 
@@ -51,31 +50,6 @@ class BinaryMask:
             raise InvalidDataError(
                 f"mask contains {bad.size} voxels outside {{0, 1}} (first: {float(bad.flat[0])!r})"
             )
-
-
-@dataclass(frozen=True)
-class DistanceMap:
-    """Per-voxel exact Euclidean distance (mm) to the nearest feature voxel."""
-
-    volume: Volume3
-
-    def __post_init__(self):
-        if np.any(self.volume.data < 0.0) or not np.all(np.isfinite(self.volume.data)):
-            raise InvalidDataError("distance map values must be finite and non-negative")
-
-
-@dataclass(frozen=True)
-class LabelMap:
-    """A normalized landmark map valued in [exp(-10), 1], 1 at the landmark."""
-
-    volume: Volume3
-
-    def __post_init__(self):
-        data = self.volume.data
-        if data.max(initial=-np.inf) != 1.0:
-            raise InvalidDataError("label map maximum must be exactly 1")
-        if np.any(data < LABEL_FLOOR) or np.any(data > 1.0):
-            raise InvalidDataError("label map values must lie in [exp(-10), 1]")
 
 
 def _check_spacing(volume: Volume3) -> None:
@@ -147,13 +121,14 @@ def _min_pass(f: np.ndarray, step: float, axis: int) -> np.ndarray:
     return np.moveaxis(out.reshape(moved.shape), 0, axis)
 
 
-def distance_transform(mask: BinaryMask) -> DistanceMap:
+def distance_transform(mask: BinaryMask) -> Volume3:
     """Exact Euclidean distance (mm) from every voxel to the nearest feature.
 
-    Runs three separable minimum passes over squared distances (x, then y,
-    then z), each costing two operations per voxel per row that holds a
-    site, and takes one square root at the end, so the result matches a
-    brute-force nearest-feature scan to floating-point accuracy.
+    Returns a volume on the mask's grid. Runs three separable minimum
+    passes over squared distances (x, then y, then z), each costing two
+    operations per voxel per row that holds a site, and takes one square
+    root at the end, so the result matches a brute-force nearest-feature
+    scan to floating-point accuracy.
 
     Raises :class:`NoFeatureError` if the mask has no feature voxel and
     :class:`DegenerateConfigurationError` if the squared distances of the
@@ -168,17 +143,18 @@ def distance_transform(mask: BinaryMask) -> DistanceMap:
     d2 = np.where(feature, 0.0, np.inf)
     for step, axis in ((sx, 2), (sy, 1), (sz, 0)):  # (nz, ny, nx) layout: x first
         d2 = _min_pass(d2, step, axis)
-    return DistanceMap(vol.with_data(np.sqrt(d2)))
+    return vol.with_data(np.sqrt(d2))
 
 
-def make_label(landmark: Point3, template: Volume3) -> LabelMap:
-    """Build the normalized landmark map ``exp(-10 * M / max(M))``.
+def make_label(landmark: Point3, template: Volume3) -> Volume3:
+    """The normalized landmark map ``exp(-10 * M / max(M))`` on the grid of ``template``.
 
     The landmark is snapped to the nearest voxel center of ``template``
     (whose data is ignored, only its geometry is used), M is the distance
     from that center in closed form, summed as the distance transform sums
     it, z + (y + x), so it equals that voxel's distance map bit for bit, and
-    max(M) is the global maximum. The landmark voxel gets exactly 1.
+    max(M) is the global maximum. The landmark voxel gets exactly 1 and the
+    farthest voxel exactly ``exp(-LABEL_DECAY)``.
 
     Raises :class:`DegenerateConfigurationError` if the squared distances
     of the voxel spacing overflow or underflow the float range,
@@ -210,9 +186,8 @@ def make_label(landmark: Point3, template: Volume3) -> LabelMap:
             "single-voxel volume: max distance is zero, label map is undefined"
         )
     # ratio first: dist/peak is exactly 1 at the farthest voxel, so the
-    # exponent never rounds below -LABEL_DECAY and the floor is exact
-    label = np.exp(-LABEL_DECAY * (dist / peak))
-    return LabelMap(template.with_data(label))
+    # exponent never rounds below -LABEL_DECAY
+    return template.with_data(np.exp(-LABEL_DECAY * (dist / peak)))
 
 
 def recover_landmark(heatmap: Volume3) -> Point3:

@@ -33,7 +33,9 @@ R_MAX = 0.3
 SCALE_MIN = 0.8
 SCALE_MAX = 1.25
 
-# case ids run case_000 ... case_999, so their names sort in generation order
+# case ids run case_000 ... case_999, so their names sort in generation order;
+# the case directories save_cases writes and load_cases reads carry the prefix
+CASE_PREFIX = "case_"
 MAX_CASES = 1000
 
 # the largest landmark count whose (n, 3) float64 array numpy can shape
@@ -134,7 +136,7 @@ def generate_case(seed: int, case_index: int, config: SynthConfig | None = None)
     fit_names = tuple(f"p{i}" for i in range(cfg.n_fit))
     hold_names = tuple(f"h{i}" for i in range(cfg.n_holdout))
     return SyntheticCase(
-        case_id=f"case_{case_index:03d}",
+        case_id=f"{CASE_PREFIX}{case_index:03d}",
         moving=PointSet(moving_fit, names=fit_names),
         fixed=PointSet(fixed_fit, names=fit_names),
         moving_eval=PointSet(moving_hold, names=hold_names) if cfg.n_holdout else None,
@@ -169,7 +171,7 @@ def save_cases(cases: list[SyntheticCase], out_dir: str | os.PathLike, config: S
         written = {case.case_id for case in cases}
         stale = sorted(
             entry for entry in os.listdir(out_dir)
-            if entry.startswith("case_") and entry not in written and os.path.isdir(os.path.join(out_dir, entry))
+            if entry.startswith(CASE_PREFIX) and entry not in written and os.path.isdir(os.path.join(out_dir, entry))
         )
         if stale:
             raise FormatError(f"{out_dir}: holds case directories this run does not write: {', '.join(stale)}")
@@ -212,10 +214,12 @@ def save_cases(cases: list[SyntheticCase], out_dir: str | os.PathLike, config: S
 def load_cases(case_dir: str | os.PathLike) -> list[EvalCase]:
     """Load every ``case_*`` subdirectory holding moving/fixed CSVs.
 
-    Hold-out CSVs are optional per case, but come as a pair: a case with
-    one of ``moving_eval.csv`` and ``fixed_eval.csv`` is a format error
-    naming its directory. Cases come back sorted by directory name; a
-    directory with no cases is a format error.
+    Other entries are skipped, so a directory copied aside next to the
+    cases (say ``backup/``) does not join the cohort. Hold-out CSVs are
+    optional per case, but come as a pair: a case with one of
+    ``moving_eval.csv`` and ``fixed_eval.csv`` is a format error naming its
+    directory. Cases come back sorted by directory name; a directory with no
+    cases is a format error.
     """
     case_dir = os.fspath(case_dir)
     cases: list[EvalCase] = []
@@ -223,7 +227,8 @@ def load_cases(case_dir: str | os.PathLike) -> list[EvalCase]:
         sub = os.path.join(case_dir, entry)
         moving_path = os.path.join(sub, "moving.csv")
         fixed_path = os.path.join(sub, "fixed.csv")
-        if not (os.path.isdir(sub) and os.path.isfile(moving_path) and os.path.isfile(fixed_path)):
+        if not (entry.startswith(CASE_PREFIX) and os.path.isdir(sub)
+                and os.path.isfile(moving_path) and os.path.isfile(fixed_path)):
             continue
         me_path = os.path.join(sub, "moving_eval.csv")
         fe_path = os.path.join(sub, "fixed_eval.csv")

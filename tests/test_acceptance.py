@@ -89,7 +89,7 @@ def test_criterion_1_distance_transform_matches_brute_force():
         data = (rng.random(n) < rng.uniform(0.05, 0.9)).astype(float)
         data[rng.integers(0, n)] = 1.0
         volume = Volume3(dims=dims, spacing=spacing, data=data)
-        got = distance_transform(BinaryMask(volume)).volume.data
+        got = distance_transform(BinaryMask(volume)).data
         want = nearest_feature_distances(volume.data3d(), spacing)
         worst = max(worst, float(np.abs(got - want).max()))
     elapsed = time.perf_counter() - start
@@ -115,13 +115,13 @@ def test_criterion_2_label_map_peak_range_and_inversion():
         landmark = template.voxel_center(ix, iy, iz)
 
         label = make_label(landmark, template)
-        values = label.volume.data
+        values = label.data
         linear = ix + dims[0] * (iy + dims[1] * iz)
         assert values[linear] == 1.0
         assert values.max() == 1.0
         assert values.min() >= LABEL_FLOOR
         assert values.max() <= 1.0
-        assert recover_landmark(label.volume) == landmark
+        assert recover_landmark(label) == landmark
     elapsed = time.perf_counter() - start
     ok = elapsed < 10.0
     report(2, ok, f"50 random placements: peak exactly 1 at the landmark voxel, range "

@@ -239,7 +239,43 @@ def test_register_name_mismatch(tmp_path, capsys):
     renamed = PointSet(case.fixed.coords, names=("q0", "q1", "q2", "q3"))
     write_points(renamed, fixed)
     assert main(["register", str(moving), str(fixed), str(tmp_path / "t.json")]) == 4
-    assert "names disagree" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: landmark names disagree: ['p0', 'p1', 'p2', 'p3'] vs ['q0', 'q1', 'q2', 'q3']\n"
+    )
+
+
+def swap_rows(path, i, j):
+    """Rewrite a landmark CSV with rows i and j (names and coordinates) swapped."""
+    points = read_points(path)
+    order = list(range(len(points)))
+    order[i], order[j] = j, i
+    write_points(PointSet(points.coords[order], names=[points.names[k] for k in order]), path)
+
+
+def test_evaluate_refuses_swapped_rows(tmp_path, capsys):
+    case, moving, fixed = case_files(tmp_path)
+    transform = tmp_path / "t.json"
+    write_transform(compose(case.generator), transform)
+    swap_rows(fixed, 1, 2)
+    assert main(["evaluate", str(transform), str(moving), str(fixed)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: landmark names disagree: ['p0', 'p1', 'p2', 'p3'] vs ['p0', 'p2', 'p1', 'p3']\n"
+
+
+def test_compare_refuses_reordered_rows(tmp_path, capsys):
+    case_dir = tmp_path / "cases"
+    assert main(["synth", str(case_dir), "--seed", "1", "--cases", "3"]) == 0
+    swap_rows(case_dir / "case_001" / "fixed.csv", 0, 3)
+    capsys.readouterr()
+    assert main(["compare", str(case_dir), "--csv", str(tmp_path / "table.csv")]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: [case case_001, method identity] landmark names disagree: "
+        "['p0', 'p1', 'p2', 'p3'] vs ['p3', 'p1', 'p2', 'p0']\n"
+    )
+    assert not (tmp_path / "table.csv").exists()
 
 
 def test_register_length_mismatch(tmp_path):

@@ -346,3 +346,16 @@ def test_require_correspondence():
     with pytest.raises(CorrespondenceError):
         require_correspondence(a, b)
     require_correspondence(a, PointSet(np.ones((2, 3))))
+
+
+def test_require_correspondence_checks_names_before_lengths():
+    coords = np.arange(9.0).reshape(3, 3)
+    named = PointSet(coords, names=("a", "b", "c"))
+    with pytest.raises(CorrespondenceError, match=r"^landmark names disagree: \['a', 'b', 'c'\] vs \['a', 'c', 'b'\]$"):
+        require_correspondence(named, PointSet(coords, names=("a", "c", "b")))
+    with pytest.raises(CorrespondenceError, match=r"^landmark names disagree: \['a', 'b', 'c'\] vs \['a', 'b'\]$"):
+        require_correspondence(named, PointSet(coords[:2], names=("a", "b")))
+    # a named set paired with an unnamed one pairs by order
+    require_correspondence(named, PointSet(coords))
+    require_correspondence(PointSet(coords), named)
+    require_correspondence(named, PointSet(coords + 1.0, names=("a", "b", "c")))

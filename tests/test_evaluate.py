@@ -207,6 +207,13 @@ def test_methods_registry_runs_in_the_default_order():
     assert np.array_equal(METHODS["identity"](case.moving, case.fixed).matrix, np.eye(4))
 
 
+def test_tre_refuses_reordered_names():
+    moving = PointSet(TETRA, names=("p0", "p1", "p2", "p3"))
+    fixed = PointSet(TETRA[[0, 2, 1, 3]], names=("p0", "p2", "p1", "p3"))
+    with pytest.raises(CorrespondenceError, match="^landmark names disagree: "):
+        tre(AffineMatrix.identity(), moving, fixed)
+
+
 def aligned_case(case_id="c0"):
     ps = PointSet(TETRA)
     return EvalCase(case_id=case_id, moving=ps, fixed=ps)
@@ -365,11 +372,23 @@ def test_compare_requires_cases():
         compare_methods([], {"identity": METHODS["identity"]})
 
 
+def test_compare_requires_methods():
+    with pytest.raises(InsufficientSampleError, match="^compare_methods needs at least one method$"):
+        compare_methods([aligned_case()], {})
+
+
+def test_compare_one_case_text_names_the_case_count():
+    table = compare_methods([aligned_case()], {name: METHODS[name] for name in ("identity", "umeyama")})
+    assert table.ttests == {("identity", "umeyama"): None}
+    assert table.to_text().endswith("\nidentity vs umeyama: needs at least 2 cases\n")
+
+
 def test_compare_degenerate_ttest_recorded_as_none():
     cases = [aligned_case("a"), aligned_case("b")]
     table = compare_methods(cases, {name: METHODS[name] for name in ("identity", "umeyama")})
     # both methods are exact on aligned data, so differences are all zero
     assert table.ttests[("identity", "umeyama")] is None
+    assert table.to_text().endswith("\nidentity vs umeyama: degenerate (zero-variance differences)\n")
 
 
 def test_compare_csv_and_text_output():

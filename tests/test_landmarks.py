@@ -16,10 +16,8 @@ from landreg.errors import (
     OutOfBoundsError,
 )
 from landreg.landmarks import (
-    LABEL_FLOOR,
+    LABEL_DECAY,
     BinaryMask,
-    DistanceMap,
-    LabelMap,
     distance_transform,
     extract_extremes,
     make_label,
@@ -56,31 +54,26 @@ def test_binary_mask_rejects_non_binary_values():
         BinaryMask(Volume3(dims=(2, 1, 1), spacing=(1, 1, 1), data=np.array([0.0, 0.5])))
 
 
-def test_distance_map_rejects_negative_values():
-    with pytest.raises(InvalidDataError):
-        DistanceMap(Volume3(dims=(1, 1, 1), spacing=(1, 1, 1), data=np.array([-0.1])))
-
-
-def test_label_map_rejects_wrong_range():
-    with pytest.raises(InvalidDataError):
-        LabelMap(Volume3(dims=(2, 1, 1), spacing=(1, 1, 1), data=np.array([1.0, 1e-6])))
-    with pytest.raises(InvalidDataError):
-        LabelMap(Volume3(dims=(2, 1, 1), spacing=(1, 1, 1), data=np.array([0.5, 0.9])))
+def test_volume_functions_return_plain_volumes():
+    mask = BinaryMask(Volume3(dims=(3, 1, 1), spacing=(1, 1, 1), data=np.array([1.0, 0.0, 0.0])))
+    assert type(distance_transform(mask)) is Volume3
+    assert type(make_label(Point3(0, 0, 0), mask.volume)) is Volume3
+    assert not hasattr(landmarks, "DistanceMap") and not hasattr(landmarks, "LabelMap")
 
 
 def test_all_ones_mask_maps_to_zero():
     mask = BinaryMask(Volume3(dims=(3, 2, 2), spacing=(1, 2, 3), data=np.ones(12)))
-    assert np.array_equal(distance_transform(mask).volume.data, np.zeros(12))
+    assert np.array_equal(distance_transform(mask).data, np.zeros(12))
 
 
 def test_line_mask_distances():
     mask = BinaryMask(Volume3(dims=(3, 1, 1), spacing=(1, 1, 1), data=np.array([1.0, 0.0, 0.0])))
-    assert np.array_equal(distance_transform(mask).volume.data, [0.0, 1.0, 2.0])
+    assert np.array_equal(distance_transform(mask).data, [0.0, 1.0, 2.0])
 
 
 def test_anisotropic_z_spacing():
     mask = BinaryMask(Volume3(dims=(1, 1, 2), spacing=(1, 1, 2), data=np.array([1.0, 0.0])))
-    assert np.array_equal(distance_transform(mask).volume.data, [0.0, 2.0])
+    assert np.array_equal(distance_transform(mask).data, [0.0, 2.0])
 
 
 def test_empty_mask_raises():
@@ -94,7 +87,7 @@ def test_edt_matches_brute_force():
     worst = 0.0
     for _ in range(25):
         mask = random_mask(rng)
-        got = distance_transform(mask).volume.data
+        got = distance_transform(mask).data
         want = brute_force_edt(mask.volume)
         worst = max(worst, float(np.abs(got - want).max()))
     assert worst <= 1e-9
@@ -113,7 +106,7 @@ def test_edt_matches_scipy(density):
     else:
         data = (rng.random(n) < density).astype(float)
     vol = Volume3(dims=dims, spacing=spacing, data=data)
-    got = distance_transform(BinaryMask(vol)).volume.data3d()
+    got = distance_transform(BinaryMask(vol)).data3d()
     want = ndimage.distance_transform_edt(vol.data3d() == 0.0, sampling=spacing[::-1])
     assert np.abs(got - want).max() <= 1e-9
 
@@ -189,10 +182,10 @@ def test_edt_is_bit_identical_to_position_loop(dims, spacing, kind, seed, block)
     """
     vol = Volume3(dims=dims, spacing=spacing, data=kind_mask(dims, kind, seed).reshape(-1))
     want = position_loop_edt(vol)
-    assert np.array_equal(distance_transform(BinaryMask(vol)).volume.data3d(), want)
+    assert np.array_equal(distance_transform(BinaryMask(vol)).data3d(), want)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(landmarks, "_BLOCK_VALUES", block)
-        assert np.array_equal(distance_transform(BinaryMask(vol)).volume.data3d(), want)
+        assert np.array_equal(distance_transform(BinaryMask(vol)).data3d(), want)
 
 
 def test_edt_spanning_several_blocks_is_bit_identical_to_position_loop():
@@ -200,7 +193,7 @@ def test_edt_spanning_several_blocks_is_bit_identical_to_position_loop():
     dims, spacing = (64, 64, 48), (0.8, 0.8, 2.5)
     assert landmarks._BLOCK_VALUES < 64 * 64 * 48  # a pass fits one block only if it fits the volume
     vol = Volume3(dims=dims, spacing=spacing, data=kind_mask(dims, "30 %", 64).reshape(-1))
-    got = distance_transform(BinaryMask(vol)).volume.data3d()
+    got = distance_transform(BinaryMask(vol)).data3d()
     assert np.array_equal(got, position_loop_edt(vol))
 
 
@@ -216,9 +209,9 @@ def test_make_label_is_edt_of_its_voxel():
         voxel = tuple(int(rng.integers(0, d)) for d in dims)
         seed = np.zeros(dims[::-1])
         seed[voxel[::-1]] = 1.0
-        d = distance_transform(BinaryMask(template.with_data(seed))).volume.data
+        d = distance_transform(BinaryMask(template.with_data(seed))).data
         label = make_label(template.voxel_center(*voxel), template)
-        assert np.array_equal(label.volume.data, np.exp(-10.0 * (d / d.max())))
+        assert np.array_equal(label.data, np.exp(-10.0 * (d / d.max())))
 
 
 def test_edt_commutes_with_axis_permutation():
@@ -228,7 +221,7 @@ def test_edt_commutes_with_axis_permutation():
     data = (rng.random(60) < 0.2).astype(float)
     data[0] = 1.0
     vol = Volume3(dims=dims, spacing=spacing, data=data)
-    base = distance_transform(BinaryMask(vol)).volume.data3d()
+    base = distance_transform(BinaryMask(vol)).data3d()
 
     # swap x and z everywhere; distances must swap the same way
     swapped = Volume3(
@@ -236,7 +229,7 @@ def test_edt_commutes_with_axis_permutation():
         spacing=(spacing[2], spacing[1], spacing[0]),
         data=vol.data3d().transpose(2, 1, 0).reshape(-1),
     )
-    other = distance_transform(BinaryMask(swapped)).volume.data3d()
+    other = distance_transform(BinaryMask(swapped)).data3d()
     assert np.array_equal(other, base.transpose(2, 1, 0))
 
 
@@ -245,22 +238,22 @@ def test_edt_ignores_origin():
     near = Volume3(dims=(3, 1, 1), spacing=(1, 1, 1), data=data)
     far = Volume3(dims=(3, 1, 1), spacing=(1, 1, 1), origin=Point3(100, -50, 7), data=data)
     assert np.array_equal(
-        distance_transform(BinaryMask(near)).volume.data,
-        distance_transform(BinaryMask(far)).volume.data,
+        distance_transform(BinaryMask(near)).data,
+        distance_transform(BinaryMask(far)).data,
     )
 
 
 def test_make_label_two_voxel_example():
     template = Volume3(dims=(1, 1, 2), spacing=(1, 1, 1))
     label = make_label(Point3(0, 0, 0), template)
-    assert label.volume.data[0] == 1.0
-    assert label.volume.data[1] == math.exp(-10)
+    assert label.data[0] == 1.0
+    assert label.data[1] == math.exp(-10)
 
 
 def test_make_label_centered_example():
     template = Volume3(dims=(3, 1, 1), spacing=(1, 1, 1))
     label = make_label(Point3(1, 0, 0), template)
-    assert np.array_equal(label.volume.data, [math.exp(-10), 1.0, math.exp(-10)])
+    assert np.array_equal(label.data, [math.exp(-10), 1.0, math.exp(-10)])
 
 
 def test_make_label_peak_is_exactly_one():
@@ -271,16 +264,16 @@ def test_make_label_peak_is_exactly_one():
         template = Volume3(dims=dims, spacing=spacing)
         voxel = tuple(int(rng.integers(0, d)) for d in dims)
         label = make_label(template.voxel_center(*voxel), template)
-        data = label.volume.data
+        data = label.data
         assert data.max() == 1.0
-        assert label.volume.data3d()[voxel[::-1]] == 1.0
-        assert data.min() >= LABEL_FLOOR
+        assert label.data3d()[voxel[::-1]] == 1.0
+        assert data.min() >= math.exp(-LABEL_DECAY)
 
 
 def test_make_label_snaps_to_nearest_center():
     template = Volume3(dims=(6, 6, 6), spacing=(1, 1, 1))
     label = make_label(Point3(3.1, 2.0, 4.9), template)
-    assert recover_landmark(label.volume) == Point3(3.0, 2.0, 5.0)
+    assert recover_landmark(label) == Point3(3.0, 2.0, 5.0)
 
 
 def test_make_label_out_of_bounds():
@@ -300,7 +293,7 @@ def test_label_monotone_in_distance():
     template = Volume3(dims=(7, 7, 7), spacing=(1, 1, 1))
     center = template.voxel_center(3, 3, 3)
     label = make_label(center, template)
-    values = label.volume.data
+    values = label.data
     radii = np.array([
         math.dist((p.x, p.y, p.z), (center.x, center.y, center.z))
         for p in (template.voxel_center(*template.voxel_of_index(i)) for i in range(template.n_voxels))
@@ -342,7 +335,7 @@ def test_recovery_inverts_generation(px, py, pz):
         min(max(py, template.origin.y), template.origin.y + 0.9 * 3),
         min(max(pz, template.origin.z), template.origin.z + 2.0 * 2),
     )
-    recovered = recover_landmark(make_label(point, template).volume)
+    recovered = recover_landmark(make_label(point, template))
     # nearest-center property, robust to exact half-way tie direction
     assert abs(recovered.x - point.x) <= 1.2 / 2 + 1e-12
     assert abs(recovered.y - point.y) <= 0.9 / 2 + 1e-12

@@ -246,6 +246,14 @@ def test_loss_size_mismatch():
         loss(AffineParams9.identity(), PointSet(TETRA), PointSet(TETRA[:2]))
 
 
+@pytest.mark.parametrize("call", [loss, loss_gradient, refine])
+def test_reordered_names_rejected(call):
+    moving = PointSet(TETRA, names=("a", "b", "c", "d"))
+    fixed = PointSet(TETRA[[0, 1, 3, 2]], names=("a", "b", "d", "c"))
+    with pytest.raises(CorrespondenceError, match="^landmark names disagree: "):
+        call(AffineParams9.identity(), moving, fixed)
+
+
 def test_gradient_unit_translation_direction():
     grad = loss_gradient(
         AffineParams9.identity(),

@@ -260,6 +260,16 @@ def test_load_requires_cases(tmp_path):
         load_cases(tmp_path)
 
 
+def test_load_reads_only_case_directories(tmp_path):
+    config = SynthConfig()
+    save_cases(generate_cases(1, 2, config), tmp_path, config)
+    for stray in ("backup", "notes"):
+        (tmp_path / stray).mkdir()
+        for name in ("moving.csv", "fixed.csv"):
+            (tmp_path / stray / name).write_bytes((tmp_path / "case_000" / name).read_bytes())
+    assert [case.case_id for case in load_cases(tmp_path)] == ["case_000", "case_001"]
+
+
 def test_load_skips_holdout_when_files_missing(tmp_path):
     config = SynthConfig()
     save_cases(generate_cases(1, 1, config), tmp_path, config)

@@ -130,3 +130,10 @@ def test_collinear_points_rejected():
 def test_size_mismatch():
     with pytest.raises(CorrespondenceError):
         umeyama_fit(PointSet(TETRA), PointSet(TETRA[:3]))
+
+
+def test_reordered_names_rejected():
+    moving = PointSet(TETRA, names=("a", "b", "c", "d"))
+    fixed = PointSet(TETRA[[1, 0, 2, 3]], names=("b", "a", "c", "d"))
+    with pytest.raises(CorrespondenceError, match="^landmark names disagree: "):
+        umeyama_fit(moving, fixed)
