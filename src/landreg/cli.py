@@ -39,24 +39,23 @@ from .umeyama import umeyama_fit
 _AXES = {"x": 0, "y": 1, "z": 2}
 
 
-def _triple_floats(text: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected 'a,b,c', got {text!r}")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+def _triple(convert: type, form: str):
+    """An argparse type for three comma-separated numbers, each read by
+    ``convert``; ``form`` shows the expected text in the usage error."""
+
+    def parse(text: str) -> tuple:
+        parts = text.split(",")
+        if len(parts) != 3:
+            raise argparse.ArgumentTypeError(f"expected {form!r}, got {text!r}")
+        try:
+            return tuple(convert(p) for p in parts)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
+    return parse
 
 
-def _triple_ints(text: str) -> tuple[int, int, int]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected 'nx,ny,nz', got {text!r}")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+_float_triple = _triple(float, "a,b,c")
 
 
 def _methods_arg(text: str) -> tuple[str, ...]:
@@ -185,10 +184,10 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     p.add_argument("out", help="output label volume (JSON header)")
-    p.add_argument("--landmark", type=_triple_floats, required=True, metavar="X,Y,Z", help="landmark position in mm")
-    p.add_argument("--dims", type=_triple_ints, required=True, metavar="NX,NY,NZ", help="grid size in voxels")
-    p.add_argument("--spacing", type=_triple_floats, required=True, metavar="SX,SY,SZ", help="voxel spacing in mm")
-    p.add_argument("--origin", type=_triple_floats, default=(0.0, 0.0, 0.0), metavar="OX,OY,OZ", help="grid origin in mm")
+    p.add_argument("--landmark", type=_float_triple, required=True, metavar="X,Y,Z", help="landmark position in mm")
+    p.add_argument("--dims", type=_triple(int, "nx,ny,nz"), required=True, metavar="NX,NY,NZ", help="grid size in voxels")
+    p.add_argument("--spacing", type=_float_triple, required=True, metavar="SX,SY,SZ", help="voxel spacing in mm")
+    p.add_argument("--origin", type=_float_triple, default=(0.0, 0.0, 0.0), metavar="OX,OY,OZ", help="grid origin in mm")
     p.set_defaults(func=cmd_make_label)
 
     p = sub.add_parser(

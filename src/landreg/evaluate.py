@@ -23,7 +23,6 @@ from .core import (
     decompose,
     real_array,
     require_correspondence,
-    require_real,
     transform_array,
 )
 from .errors import (
@@ -44,16 +43,16 @@ Fitter = Callable[[PointSet, PointSet], AffineMatrix]
 
 @dataclass(frozen=True)
 class TREStat:
-    """Mean, sample std, and the underlying per-sample TRE values (mm).
-
-    ``degenerate`` marks a single-sample statistic, whose std is reported
-    as 0 because no spread is measurable.
-    """
+    """Mean, sample std, and the underlying per-sample TRE values (mm)."""
 
     mean: float
     std: float
     per_case: tuple[float, ...]
-    degenerate: bool = False
+
+    @property
+    def degenerate(self) -> bool:
+        """A single-sample statistic, whose std is reported as 0 because no spread is measurable."""
+        return len(self.per_case) == 1
 
     @classmethod
     def from_values(cls, values: Sequence[float]) -> "TREStat":
@@ -62,17 +61,16 @@ class TREStat:
         arr = real_array(values, "TRE values")
         if arr.ndim != 1:
             raise InvalidParameterError(f"TRE values must be one-dimensional, got shape {arr.shape}")
-        vals = tuple(arr.tolist())
-        if not vals:
+        if not arr.size:
             raise InsufficientSampleError("cannot summarize an empty TRE list")
         with np.errstate(over="ignore", invalid="ignore"):
-            mean = float(np.mean(vals))
-            std = 0.0 if len(vals) == 1 else float(np.std(vals, ddof=1))
+            mean = float(np.mean(arr))
+            std = 0.0 if arr.size == 1 else float(np.std(arr, ddof=1))
         if not (math.isfinite(mean) and math.isfinite(std)):
             raise DegenerateConfigurationError(
                 "target registration error is too large: it overflows the float range"
             )
-        return cls(mean=mean, std=std, per_case=vals, degenerate=len(vals) == 1)
+        return cls(mean=mean, std=std, per_case=tuple(arr.tolist()))
 
     def __str__(self) -> str:
         return f"{self.mean:.3f} ± {self.std:.3f} mm"
@@ -98,7 +96,9 @@ class EvalCase:
     """One registration case: fitting landmark pairs plus optional hold-outs.
 
     The hold-out sets come as a pair: both or neither, else
-    :class:`InvalidParameterError`.
+    :class:`InvalidParameterError`. Each pair must correspond (see
+    :func:`require_correspondence`), else :class:`CorrespondenceError`
+    prefixed with the case id, so a bad case fails before any method runs.
     """
 
     case_id: str
@@ -111,6 +111,13 @@ class EvalCase:
         if (self.moving_eval is None) != (self.fixed_eval is None):
             given = "moving_eval" if self.fixed_eval is None else "fixed_eval"
             raise InvalidParameterError(f"hold-out landmarks need moving_eval and fixed_eval, got {given} only")
+        try:
+            require_correspondence(self.moving, self.fixed)
+            if self.moving_eval is not None:
+                require_correspondence(self.moving_eval, self.fixed_eval)
+        except CorrespondenceError as exc:
+            exc.args = (f"[case {self.case_id}] {exc}",)
+            raise
 
 
 def tre(transform: AffineMatrix, moving_eval: PointSet, fixed_eval: PointSet) -> TREStat:
@@ -126,10 +133,6 @@ def tre(transform: AffineMatrix, moving_eval: PointSet, fixed_eval: PointSet) ->
     return TREStat.from_values(values)
 
 
-def _log_beta(a: float, b: float) -> float:
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-
-
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     """Lentz's continued fraction for the incomplete beta integral."""
     tiny = 1e-300
@@ -142,51 +145,35 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, 300):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        even = m * (b - m) * x / ((qam + m2) * (a + m2))
+        odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        for aa in (even, odd):
+            d = 1.0 + aa * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + aa / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < 1e-15:
             return h
     raise ConvergenceError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")
 
 
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b), the regularized incomplete beta function.
+def _incomplete_beta(a: float, b: float, x: float) -> float:
+    """I_x(a, b), the regularized incomplete beta function, for ``a, b > 0`` and ``x`` in [0, 1].
 
-    Raises :class:`InvalidParameterError` unless ``a, b > 0`` and ``x`` in
-    [0, 1] are finite reals, with log-gamma of ``a`` and ``b`` in the float
-    range, and :class:`ConvergenceError` when the continued fraction does not
+    Raises :class:`ConvergenceError` when the continued fraction does not
     settle within its iteration budget (very large ``a`` and ``b``).
     """
-    a, b, x = require_real(a, "a"), require_real(b, "b"), require_real(x, "x")
-    if not (a > 0.0 and b > 0.0):
-        raise InvalidParameterError(f"a and b must be positive, got {a} and {b}")
-    if not 0.0 <= x <= 1.0:
-        raise InvalidParameterError(f"x must lie in [0, 1], got {x}")
     if x == 0.0:
         return 0.0
     if x == 1.0:
         return 1.0
-    try:
-        front = math.exp(a * math.log(x) + b * math.log1p(-x) - _log_beta(a, b))
-    except OverflowError:  # log-gamma of an argument beyond about 2.5e305
-        raise InvalidParameterError(f"a and b are too large for log-gamma, got {a} and {b}") from None
+    log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    front = math.exp(a * math.log(x) + b * math.log1p(-x) - log_beta)
     # the continued fraction converges fast on one side of the mean a/(a+b)
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _beta_continued_fraction(a, b, x) / a
@@ -224,7 +211,7 @@ def paired_ttest(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
         raise DegenerateTestError("differences have zero variance; t statistic is undefined")
     t = float(np.mean(d)) / (sd / math.sqrt(n))
     nu = n - 1
-    p = regularized_incomplete_beta(0.5 * nu, 0.5, nu / (nu + t * t))
+    p = _incomplete_beta(0.5 * nu, 0.5, nu / (nu + t * t))
     return t, p
 
 

@@ -159,6 +159,24 @@ def test_make_label_malformed_triple(tmp_path):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "landmark, dims, message",
+    [
+        ("1,2", "4,4,4", "argument --landmark: expected 'a,b,c', got '1,2'"),
+        ("1,2,3", "1,2", "argument --dims: expected 'nx,ny,nz', got '1,2'"),
+    ],
+    ids=["floats", "ints"],
+)
+def test_triple_usage_error_names_the_expected_form(tmp_path, capsys, landmark, dims, message):
+    with pytest.raises(SystemExit) as info:
+        main([
+            "make-label", str(tmp_path / "label.json"),
+            "--landmark", landmark, "--dims", dims, "--spacing", "1,1,1",
+        ])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith(f"landreg make-label: error: {message}\n")
+
+
 @pytest.mark.parametrize("command", ["edt", "make-label"])
 @pytest.mark.parametrize("spacing", [(1e200, 1.0, 1.0), (1e-200, 1e-200, 1e-200)], ids=["huge", "tiny"])
 def test_spacing_whose_squares_leave_the_float_range_is_numerical_degeneracy(tmp_path, capsys, command, spacing):
@@ -272,10 +290,35 @@ def test_compare_refuses_reordered_rows(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: [case case_001, method identity] landmark names disagree: "
+        "error: [case case_001] landmark names disagree: "
         "['p0', 'p1', 'p2', 'p3'] vs ['p3', 'p1', 'p2', 'p0']\n"
     )
     assert not (tmp_path / "table.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "csv, names",
+    [("fixed.csv", "['p0', 'p1', 'p2', 'p3'] vs ['p1', 'p0', 'p2', 'p3']"), ("fixed_eval.csv", "['h0', 'h1'] vs ['h1', 'h0']")],
+    ids=["fit", "holdout"],
+)
+def test_compare_refuses_a_mismatched_case_before_fitting_any(tmp_path, capsys, monkeypatch, csv, names):
+    case_dir = tmp_path / "cases"
+    assert main(["synth", str(case_dir), "--seed", "1", "--cases", "8", "--scale-mode", "nonuniform",
+                 "--n-holdout", "2"]) == 0
+    swap_rows(case_dir / "case_007" / csv, 0, 1)
+    fitted = []
+
+    def recording(moving, fixed):
+        fitted.append(fixed)
+        return AffineMatrix.identity()
+
+    monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 1)  # a fit in a worker would not be recorded
+    for name in evaluate.METHODS:
+        monkeypatch.setitem(evaluate.METHODS, name, recording)
+    capsys.readouterr()
+    assert main(["compare", str(case_dir)]) == 4
+    assert capsys.readouterr().err == f"error: [case case_007] landmark names disagree: {names}\n"
+    assert fitted == []
 
 
 def test_register_length_mismatch(tmp_path):

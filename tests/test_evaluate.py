@@ -1,5 +1,6 @@
 """TRE statistics, the paired t test, and the method comparison harness."""
 
+import dataclasses
 import functools
 import math
 import os
@@ -28,7 +29,6 @@ from landreg.evaluate import (
     compare_methods,
     paired_ttest,
     refined_fit,
-    regularized_incomplete_beta,
     tre,
 )
 from landreg.refine import RefineConfig, refine
@@ -49,6 +49,12 @@ def test_stat_single_value_is_degenerate():
     stat = TREStat.from_values([4.5])
     assert (stat.mean, stat.std) == (4.5, 0.0)
     assert stat.degenerate
+
+
+def test_stat_fields_are_its_numbers_only():
+    # degenerate follows from per_case, so no caller can set it against them
+    assert [f.name for f in dataclasses.fields(TREStat)] == ["mean", "std", "per_case"]
+    assert TREStat(mean=1.0, std=0.0, per_case=(1.0,)).degenerate
 
 
 def test_stat_empty_rejected():
@@ -111,33 +117,39 @@ def test_incomplete_beta_matches_reference():
         a = float(rng.uniform(0.5, 30.0))
         b = float(rng.uniform(0.5, 30.0))
         x = float(rng.uniform(0.0, 1.0))
-        got = regularized_incomplete_beta(a, b, x)
+        got = evaluate._incomplete_beta(a, b, x)
         want = float(scipy.special.betainc(a, b, x))
         worst = max(worst, abs(got - want))
     assert worst < 1e-10
-    assert regularized_incomplete_beta(2.0, 3.0, 0.0) == 0.0
-    assert regularized_incomplete_beta(2.0, 3.0, 1.0) == 1.0
-
-
-@pytest.mark.parametrize("x", [-0.1, 1.5, float("nan")])
-def test_incomplete_beta_rejects_x_outside_unit_interval(x):
-    with pytest.raises(InvalidParameterError):
-        regularized_incomplete_beta(2.0, 3.0, x)
-
-
-@pytest.mark.parametrize(
-    "args", [(0, 1, 0.5), (-1, 1, 0.5), (1, -0.5, 0.5), ("a", 1, 0.5), (1, None, 0.5), (True, 1, 0.5), (1e308, 1, 0.5)],
-    ids=repr,
-)
-def test_incomplete_beta_rejects_bad_shape_parameters(args):
-    with pytest.raises(InvalidParameterError):
-        regularized_incomplete_beta(*args)
+    assert evaluate._incomplete_beta(2.0, 3.0, 0.0) == 0.0
+    assert evaluate._incomplete_beta(2.0, 3.0, 1.0) == 1.0
 
 
 def test_incomplete_beta_non_convergence_is_a_library_error():
     with pytest.raises(ConvergenceError) as info:
-        regularized_incomplete_beta(1e6, 1e6, 0.5)
+        evaluate._incomplete_beta(1e6, 1e6, 0.5)
     assert info.value.exit_code == 5
+
+
+def _weyl_samples():
+    a = [(i * 0.618033988749895) % 1.0 for i in range(1000)]
+    b = [(i * 0.414213562373095) % 1.0 + 0.01 for i in range(1000)]
+    return a, b
+
+
+# exact (t, p) of the continued-fraction implementation, so a rewrite of it
+# that changes any bit shows here
+@pytest.mark.parametrize(
+    "a, b, expected",
+    [
+        ([1.0, 2.5], [0.5, 1.25], (2.3333333333333335, 0.25776211681831307)),
+        (*_weyl_samples(), (-0.7530556989662252, 0.4515938658115606)),
+        ([3.0, 1.0], [2.0, 2.0], (0.0, 1.0)),
+    ],
+    ids=["n=2", "n=1000", "t=0"],
+)
+def test_paired_ttest_pinned_floats(a, b, expected):
+    assert paired_ttest(a, b) == expected
 
 
 def test_paired_ttest_matches_reference():
@@ -196,6 +208,18 @@ def test_eval_case_takes_both_holdout_sets_or_neither(given):
     ps = PointSet(TETRA)
     with pytest.raises(InvalidParameterError, match=f"got {given} only"):
         EvalCase(case_id="c0", moving=ps, fixed=ps, **{given: ps})
+
+
+@pytest.mark.parametrize("pair", ["fit", "holdout"])
+def test_eval_case_refuses_pairs_that_do_not_correspond(pair):
+    named = PointSet(TETRA, names=("p0", "p1", "p2", "p3"))
+    swapped = PointSet(TETRA[[1, 0, 2, 3]], names=("p1", "p0", "p2", "p3"))
+    pairs = {"moving": named, "fixed": swapped if pair == "fit" else named}
+    if pair == "holdout":
+        pairs.update(moving_eval=named, fixed_eval=PointSet(TETRA[:3]))
+    message = "landmark names disagree" if pair == "fit" else "point sets differ in size"
+    with pytest.raises(CorrespondenceError, match=rf"^\[case c0\] {message}: "):
+        EvalCase(case_id="c0", **pairs)
 
 
 def test_methods_registry_runs_in_the_default_order():

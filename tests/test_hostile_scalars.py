@@ -2,12 +2,12 @@
 
 The library twin of the hostile-file test in ``test_errors.py``. Each case
 calls one constructor or function of ``landreg.__all__`` (or ``Point3``,
-``Volume3.voxel_center``, ``extract_extremes``, ``TREStat.from_values`` and
-``regularized_incomplete_beta``, which share its checks) with one numeric or
-count argument replaced by a hostile value. The call must return or raise a
-``LandregError``; a foreign exception or a ``RuntimeWarning`` fails it. A
-scalar parameter must also refuse every value that is not a Python or numpy
-integer or float, so a string or a bool is never coerced without a word.
+``Volume3.voxel_center``, ``extract_extremes`` and ``TREStat.from_values``,
+which share its checks) with one numeric or count argument replaced by a
+hostile value. The call must return or raise a ``LandregError``; a foreign
+exception or a ``RuntimeWarning`` fails it. A scalar parameter must also
+refuse every value that is not a Python or numpy integer or float, so a
+string or a bool is never coerced without a word.
 An array element is left to the array's dtype check: numpy may widen a bool
 among floats, but a string, ``None`` or an integer beyond 64 bits is refused.
 Path parameters are out of scope.
@@ -40,7 +40,7 @@ from landreg import (
 )
 from landreg.core import AffineMatrix, Point3
 from landreg.errors import LandregError
-from landreg.evaluate import TREStat, regularized_incomplete_beta
+from landreg.evaluate import TREStat
 from landreg.landmarks import BinaryMask, extract_extremes
 
 HOSTILE = st.one_of(
@@ -123,7 +123,6 @@ CASES = {
     "loss_gradient": (SCALAR, lambda v, i: loss_gradient(_params(v, i), MOVING, FIXED)),
     "paired_ttest": (ELEMENT, lambda v, i: paired_ttest(*_samples(v, i))),
     "refine": (SCALAR, lambda v, i: refine(_params(v, i), MOVING, FIXED, RefineConfig(iterations=3))),
-    "regularized_incomplete_beta": (SCALAR, lambda v, i: regularized_incomplete_beta(*_put((1.0, 1.0, 0.5), i, v))),
     "tre": (ELEMENT, lambda v, i: tre(_matrix(v, i), MOVING, FIXED)),
     "umeyama_fit": (ELEMENT, lambda v, i: umeyama_fit(_points(v, i), FIXED)),
 }
@@ -162,9 +161,6 @@ def test_every_public_name_has_a_case():
 @example(case="paired_ttest", slot=0, value="a")
 @example(case="paired_ttest", slot=0, value=math.inf)
 @example(case="paired_ttest", slot=0, value=math.nan)
-@example(case="regularized_incomplete_beta", slot=0, value=0)
-@example(case="regularized_incomplete_beta", slot=0, value=-1)
-@example(case="regularized_incomplete_beta", slot=0, value="a")
 # integers beyond the float range
 @example(case="RefineConfig", slot=1, value=10**400)
 @example(case="SynthConfig", slot=2, value=10**400)
