@@ -9,7 +9,8 @@ Exit codes: 0 success, 2 I/O, format or usage problem, 3 degenerate data,
 4 correspondence mismatch, 5 numerical degeneracy or a parameter value
 outside its range. Options parse here as plain numbers; the library checks
 their ranges. A library error exits with its class's ``exit_code``; an
-``OSError`` exits 2.
+``OSError`` exits 2, and a ``MemoryError`` (a grid or landmark count too
+large to allocate) exits 5.
 """
 
 from __future__ import annotations
@@ -78,20 +79,18 @@ def _read_mask(path: str) -> BinaryMask:
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def cmd_edt(args: argparse.Namespace) -> int:
+def cmd_edt(args: argparse.Namespace) -> None:
     volume_raw_name(args.out)  # refuse a bad output name before the work
     write_volume(distance_transform(_read_mask(args.mask)), args.out)
-    return 0
 
 
-def cmd_make_label(args: argparse.Namespace) -> int:
+def cmd_make_label(args: argparse.Namespace) -> None:
     volume_raw_name(args.out)
     template = Volume3(dims=args.dims, spacing=args.spacing, origin=Point3(*args.origin))
     write_volume(make_label(Point3(*args.landmark), template), args.out)
-    return 0
 
 
-def cmd_register(args: argparse.Namespace) -> int:
+def cmd_register(args: argparse.Namespace) -> None:
     config = RefineConfig(iterations=args.iters, step_size=args.lr)
     if args.trace and not args.refine:
         raise FormatError("--trace requires --refine")
@@ -109,18 +108,16 @@ def cmd_register(args: argparse.Namespace) -> int:
     else:
         write_transform(matrix, args.out)
         print(f"loss: {tre(matrix, moving, fixed).mean:.3f} mm")
-    return 0
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
+def cmd_evaluate(args: argparse.Namespace) -> None:
     transform = read_transform(args.transform)
     moving = read_points(args.moving)
     fixed = read_points(args.fixed)
     print(f"TRE: {tre(transform, moving, fixed)}")
-    return 0
 
 
-def cmd_extract(args: argparse.Namespace) -> int:
+def cmd_extract(args: argparse.Namespace) -> None:
     # compute everything before printing, so a failure leaves stdout empty
     if args.mode == "landmark":
         rows = [("landmark", recover_landmark(read_volume(args.volume)))]
@@ -130,10 +127,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
     print("name,x,y,z")
     for name, point in rows:
         print(f"{name},{point.x!r},{point.y!r},{point.z!r}")
-    return 0
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
+def cmd_synth(args: argparse.Namespace) -> None:
     config = SynthConfig(
         n_fit=args.n_fit,
         n_holdout=args.n_holdout,
@@ -143,16 +139,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
     cases = generate_cases(args.seed, args.cases, config)
     save_cases(cases, args.out_dir, config)
     print(f"wrote {len(cases)} case(s) to {args.out_dir}")
-    return 0
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def cmd_compare(args: argparse.Namespace) -> None:
     cases = load_cases(args.case_dir)
     comparison = compare_methods(cases, {name: METHODS[name] for name in args.methods})
     if args.csv:
         write_file(args.csv, comparison.to_csv().encode("utf-8"))
     print(comparison.to_text(), end="")
-    return 0
 
 
 @functools.cache
@@ -169,32 +163,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    p = sub.add_parser(
-        "edt",
-        help="exact Euclidean distance transform of a binary mask volume",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
+    def command(name: str, handler, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        p.set_defaults(func=handler)
+        return p
+
+    p = command("edt", cmd_edt, "exact Euclidean distance transform of a binary mask volume")
     p.add_argument("mask", help="input binary mask volume (JSON header)")
     p.add_argument("out", help="output distance-map volume (JSON header)")
-    p.set_defaults(func=cmd_edt)
 
-    p = sub.add_parser(
-        "make-label",
-        help="normalized landmark label volume exp(-10 d / max d)",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
+    p = command("make-label", cmd_make_label, "normalized landmark label volume exp(-10 d / max d)")
     p.add_argument("out", help="output label volume (JSON header)")
     p.add_argument("--landmark", type=_float_triple, required=True, metavar="X,Y,Z", help="landmark position in mm")
     p.add_argument("--dims", type=_triple(int, "nx,ny,nz"), required=True, metavar="NX,NY,NZ", help="grid size in voxels")
     p.add_argument("--spacing", type=_float_triple, required=True, metavar="SX,SY,SZ", help="voxel spacing in mm")
     p.add_argument("--origin", type=_float_triple, default=(0.0, 0.0, 0.0), metavar="OX,OY,OZ", help="grid origin in mm")
-    p.set_defaults(func=cmd_make_label)
 
-    p = sub.add_parser(
-        "register",
-        help="fit a transform from corresponding landmark CSVs",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
+    p = command("register", cmd_register, "fit a transform from corresponding landmark CSVs")
     p.add_argument("moving", help="moving landmark CSV")
     p.add_argument("fixed", help="fixed landmark CSV")
     p.add_argument("out", help="output transform JSON")
@@ -203,33 +188,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=1e-5, help="refinement step size")
     p.add_argument("--trace", metavar="CSV", help=f"write the loss at iterations 0, 1, every {TRACE_STRIDE}th "
                    "and the last as CSV (requires --refine)")
-    p.set_defaults(func=cmd_register)
 
-    p = sub.add_parser(
-        "evaluate",
-        help="TRE of a transform over evaluation landmark CSVs",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
+    p = command("evaluate", cmd_evaluate, "TRE of a transform over evaluation landmark CSVs")
     p.add_argument("transform", help="transform JSON")
     p.add_argument("moving", help="moving evaluation landmark CSV")
     p.add_argument("fixed", help="fixed evaluation landmark CSV")
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser(
-        "extract",
-        help="landmark coordinates from a heatmap or mask volume",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
+    p = command("extract", cmd_extract, "landmark coordinates from a heatmap or mask volume")
     p.add_argument("volume", help="input volume (JSON header)")
     p.add_argument("--mode", choices=("landmark", "extremes"), default="landmark", help="peak of a heatmap, or extreme feature voxels of a mask")
     p.add_argument("--axis", choices=tuple(_AXES), default="x", help="axis for extreme extraction")
-    p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser(
-        "synth",
-        help="generate seeded synthetic registration cases",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
+    p = command("synth", cmd_synth, "generate seeded synthetic registration cases")
     p.add_argument("out_dir", help="output directory (one subdirectory per case)")
     p.add_argument("--seed", type=int, required=True, help="master seed")
     p.add_argument("--cases", type=int, default=1, help="number of cases")
@@ -237,13 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale-mode", choices=SCALE_MODES, default="uniform", help="one shared scale or three independent scales")
     p.add_argument("--n-fit", type=int, default=4, help="fitting landmarks per case")
     p.add_argument("--n-holdout", type=int, default=1, help="hold-out landmarks per case")
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser(
-        "compare",
-        help="TRE table and paired t tests for several methods over a case directory",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
+    p = command("compare", cmd_compare, "TRE table and paired t tests for several methods over a case directory")
     p.add_argument("case_dir", help="directory of cases (layout of the synth command)")
     p.add_argument(
         "--methods",
@@ -253,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma-separated method names: {', '.join(METHODS)}",
     )
     p.add_argument("--csv", metavar="PATH", help="also write the table as CSV")
-    p.set_defaults(func=cmd_compare)
 
     return parser
 
@@ -261,13 +225,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except LandregError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
+    return 0
 
 
 if __name__ == "__main__":

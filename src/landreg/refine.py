@@ -4,8 +4,9 @@ Starting from any parameter vector (typically the decomposed similarity
 fit), Adam descends the mean point-to-point Euclidean distance between the
 fixed set and the transformed moving set. Per-axis scales are free to move
 independently, which is exactly the family the closed-form fit cannot
-reach. The result is the best-loss iterate visited, never the last one,
-so refinement can only match or improve its starting point.
+reach. The result is the best-loss iterate visited inside the family (all
+scales positive), never the last one, so refinement can only match or
+improve its starting point.
 """
 
 from __future__ import annotations
@@ -53,9 +54,10 @@ class RefineConfig:
 class RefineResult:
     """Outcome of a refinement run.
 
-    ``params`` and ``final_loss`` describe the best iterate visited, so
-    ``final_loss <= initial_loss`` always; ``best_iteration`` is the
-    iteration at which ``final_loss`` was first reached (0 for the start).
+    ``params`` and ``final_loss`` describe the best iterate visited inside
+    the nine-parameter family, so ``final_loss <= initial_loss`` always;
+    ``best_iteration`` is the iteration at which ``final_loss`` was first
+    reached (0 for the start).
     ``loss_trace`` holds (iteration, loss) samples: iterations 0 and 1,
     every ``TRACE_STRIDE``-th (100), and the last.
     """
@@ -174,8 +176,10 @@ def refine(init: AffineParams9, moving: PointSet, fixed: PointSet,
     """Adam descent of :func:`loss` from ``init``.
 
     Runs exactly ``config.iterations`` bias-corrected Adam updates, records
-    a loss trace, and returns the best-loss parameters visited (including
-    the start, so the result never regresses). Deterministic: identical
+    a loss trace, and returns the best iterate inside the nine-parameter
+    family: the lowest-loss parameters visited whose three scales are all
+    positive (including the start, so the result never regresses). Adam
+    itself may step through non-positive scales. Deterministic: identical
     inputs produce bit-identical traces.
 
     Raises :class:`DivergenceError`, tagged with the iteration, if the
@@ -217,7 +221,8 @@ def refine(init: AffineParams9, moving: PointSet, fixed: PointSet,
             value, grad = _loss_and_gradient(theta, pairs)
             if not math.isfinite(value):
                 raise DivergenceError(f"loss became non-finite at iteration {k}", iteration=k)
-            if value < best_loss:
+            # a reflected iterate may fit better but lies outside the family
+            if value < best_loss and theta[6] > 0 and theta[7] > 0 and theta[8] > 0:
                 best_loss = value
                 best_theta = tuple(theta)
                 best_iteration = k

@@ -396,6 +396,37 @@ def test_overflow_after_the_fit_is_numerical_degeneracy(tmp_path, capsys, comman
     assert not out.exists()
 
 
+def test_register_refine_survives_a_reflected_iterate(tmp_path, capsys):
+    # large steps carry Adam through a negative x scale with a lower loss;
+    # the written transform is still the best one with positive scales
+    moving, fixed, out = tmp_path / "moving.csv", tmp_path / "fixed.csv", tmp_path / "t.json"
+    write_points(PointSet(TETRA), moving)
+    write_points(PointSet(TETRA * np.array([-1.2, 1.0, 1.0]) + np.array([1.0, 2.0, 3.0])), fixed)
+    assert main(["register", "--refine", "--iters", "2000", "--lr", "1", str(moving), str(fixed), str(out)]) == 0
+    initial, final = (float(line.split()[-2]) for line in capsys.readouterr().out.splitlines())
+    assert final <= initial
+    assert all(s > 0 for s in json.loads(out.read_text())["params"]["s"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["make-label", "out.json", "--landmark", "0,0,0", "--dims", "1000000,1000000,1000000", "--spacing", "1,1,1"],
+        ["synth", "cases", "--seed", "1", "--n-fit", "100000000000000000"],
+        ["synth", "cases", "--seed", "1", "--n-holdout", "100000000000000000"],
+    ],
+)
+def test_size_too_large_to_allocate_is_a_parameter_error(tmp_path, monkeypatch, capsys, argv):
+    # exabyte arrays: numpy refuses them at once, without touching memory
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert len(captured.err) > len("error: \n")
+    assert os.listdir(tmp_path) == []
+
+
 def test_register_trace_requires_refine(tmp_path):
     _, moving, fixed = case_files(tmp_path)
     code = main([
@@ -415,6 +446,21 @@ def test_register_help_documents_defaults(capsys):
     assert texts[0] == texts[1]
     assert "10000" in texts[0]
     assert "1e-05" in texts[0]
+
+
+HELP_DIR = os.path.join(os.path.dirname(__file__), "cli_help")
+
+
+@pytest.mark.parametrize(
+    "command", ["landreg", "edt", "make-label", "register", "evaluate", "extract", "synth", "compare"]
+)
+def test_help_text_is_pinned(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+    with pytest.raises(SystemExit) as info:
+        main(["--help"] if command == "landreg" else [command, "--help"])
+    assert info.value.code == 0
+    with open(os.path.join(HELP_DIR, f"{command}.txt"), encoding="utf-8") as fh:
+        assert capsys.readouterr().out == fh.read()
 
 
 def test_build_parser_is_built_once():

@@ -318,6 +318,22 @@ def test_refine_final_never_exceeds_initial():
         assert result.final_loss <= loss(params, moving, fixed)
 
 
+# a 10 mm tetrahedron and its image mirrored in x: the best fit is a
+# reflection, which the nine-parameter family excludes
+SMALL_TETRA = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [0.0, 10.0, 0.0], [0.0, 0.0, 10.0]])
+MIRRORED = np.array([[1.0, 2.0, 3.0], [-11.0, 2.0, 3.0], [1.0, 12.0, 3.0], [1.0, 2.0, 13.0]])
+
+
+def test_refine_keeps_the_best_iterate_inside_the_family():
+    # large steps carry Adam through a negative x scale with a lower loss
+    moving, fixed = PointSet(SMALL_TETRA), PointSet(MIRRORED)
+    start = decompose(umeyama_fit(moving, fixed))
+    result = refine(start, moving, fixed, RefineConfig(iterations=50, step_size=1.0))
+    assert result.final_loss <= result.initial_loss
+    assert all(s > 0 for s in result.params.s)
+    assert result.final_loss == loss(result.params, moving, fixed)
+
+
 def test_refine_is_deterministic():
     rng = np.random.default_rng(7)
     params, moving, fixed = random_instance(rng, n=6)
