@@ -20,9 +20,10 @@ import functools
 import sys
 
 from .core import Point3, Volume3, compose, decompose
-from .errors import FormatError, InvalidDataError, LandregError
+from .errors import FormatError, LandregError
 from .evaluate import METHODS, compare_methods, tre
 from .fileio import (
+    _decoding,
     read_points,
     read_transform,
     read_volume,
@@ -72,11 +73,8 @@ def _methods_arg(text: str) -> tuple[str, ...]:
 
 def _read_mask(path: str) -> BinaryMask:
     """Read a volume as a binary mask; values outside {0, 1} are a format error."""
-    volume = read_volume(path)
-    try:
-        return BinaryMask(volume)
-    except InvalidDataError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    with _decoding(path):
+        return BinaryMask(read_volume(path))
 
 
 def cmd_edt(args: argparse.Namespace) -> None:

@@ -9,9 +9,10 @@ regularized incomplete beta function, accurate to well below 1e-10.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -233,24 +234,32 @@ METHODS: dict[str, Fitter] = {
 class MethodComparison:
     """Cohort table over cases for several methods, plus pairwise t tests.
 
-    ``fit`` (and ``holdout`` where hold-out landmarks exist) map method
-    name to the TREStat over per-case mean TREs. ``ttests`` maps ordered
-    method-name pairs to (t, p), or None when the test is degenerate or
-    there are fewer than 2 cases.
+    ``fit`` (and ``holdout`` where every case has hold-out landmarks, else
+    empty) map method name to the TREStat over per-case mean TREs, in the
+    order the methods ran. ``ttests`` maps ordered method-name pairs to
+    (t, p), or None when the test is degenerate or there are fewer than 2
+    cases.
     """
 
-    methods: tuple[str, ...]
-    n_cases: int
-    fit: dict[str, TREStat] = field(default_factory=dict)
-    holdout: dict[str, TREStat] = field(default_factory=dict)
-    reports: tuple[RegistrationReport, ...] = ()
-    ttests: dict[tuple[str, str], tuple[float, float] | None] = field(default_factory=dict)
+    fit: dict[str, TREStat]
+    holdout: dict[str, TREStat]
+    reports: tuple[RegistrationReport, ...]
+    ttests: dict[tuple[str, str], tuple[float, float] | None]
+
+    @property
+    def methods(self) -> tuple[str, ...]:
+        """Method names in the order they ran: the keys of ``fit``."""
+        return tuple(self.fit)
+
+    @property
+    def n_cases(self) -> int:
+        """Cases in the cohort: the per-case values of one method (case ids may repeat)."""
+        return len(next(iter(self.fit.values())).per_case)
 
     def to_csv(self) -> str:
         """Method table as ``method,mean_mm,std_mm,n_cases`` rows (full precision)."""
         lines = ["method,mean_mm,std_mm,n_cases"]
-        for name in self.methods:
-            stat = self.fit[name]
+        for name, stat in self.fit.items():
             lines.append(f"{name},{stat.mean!r},{stat.std!r},{self.n_cases}")
         return "\n".join(lines) + "\n"
 
@@ -262,8 +271,8 @@ class MethodComparison:
         if self.holdout:
             header += "   hold-out landmarks"
         lines.append(header)
-        for name in self.methods:
-            row = f"{name:<{width}}  {self.fit[name]!s:>17}"
+        for name, stat in self.fit.items():
+            row = f"{name:<{width}}  {stat!s:>17}"
             if self.holdout:
                 row += f"   {self.holdout[name]!s:>18}"
             lines.append(row)
@@ -386,7 +395,6 @@ def compare_methods(cases: Sequence[EvalCase], methods: Mapping[str, Fitter]) ->
         raise InsufficientSampleError("compare_methods needs at least one case")
     if not methods:
         raise InsufficientSampleError("compare_methods needs at least one method")
-    names = list(methods)
 
     workers = min(len(cases), _usable_cpus())
     forked = workers > 1 and hasattr(os, "fork")
@@ -394,34 +402,17 @@ def compare_methods(cases: Sequence[EvalCase], methods: Mapping[str, Fitter]) ->
     per_case += [_run_case(case, methods) for case in cases[len(per_case):]]
     reports = [report for case_reports in per_case for report in case_reports]
 
-    per_method_fit: dict[str, list[float]] = {name: [] for name in names}
-    per_method_holdout: dict[str, list[float]] = {name: [] for name in names}
-    for report in reports:
-        per_method_fit[report.method].append(report.fit_tre.mean)
-        if report.holdout_tre is not None:
-            per_method_holdout[report.method].append(report.holdout_tre.mean)
-    all_have_holdout = all(case.moving_eval is not None for case in cases)
-
-    fit_stats = {name: TREStat.from_values(per_method_fit[name]) for name in names}
-    holdout_stats = (
-        {name: TREStat.from_values(per_method_holdout[name]) for name in names}
-        if all_have_holdout
-        else {}
-    )
+    fit = {name: TREStat.from_values([r.fit_tre.mean for r in reports if r.method == name]) for name in methods}
+    holdout: dict[str, TREStat] = {}
+    if all(case.moving_eval is not None for case in cases):
+        holdout = {
+            name: TREStat.from_values([r.holdout_tre.mean for r in reports if r.method == name]) for name in methods
+        }
 
     ttests: dict[tuple[str, str], tuple[float, float] | None] = {}
-    for i, ma in enumerate(names):
-        for mb in names[i + 1:]:
-            try:
-                ttests[(ma, mb)] = paired_ttest(per_method_fit[ma], per_method_fit[mb])
-            except (DegenerateTestError, InsufficientSampleError):
-                ttests[(ma, mb)] = None
-
-    return MethodComparison(
-        methods=tuple(names),
-        n_cases=len(cases),
-        fit=fit_stats,
-        holdout=holdout_stats,
-        reports=tuple(reports),
-        ttests=ttests,
-    )
+    for ma, mb in itertools.combinations(methods, 2):
+        try:
+            ttests[(ma, mb)] = paired_ttest(fit[ma].per_case, fit[mb].per_case)
+        except (DegenerateTestError, InsufficientSampleError):
+            ttests[(ma, mb)] = None
+    return MethodComparison(fit, holdout, tuple(reports), ttests)

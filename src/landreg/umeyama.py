@@ -27,8 +27,9 @@ def umeyama_fit(moving: PointSet, fixed: PointSet) -> AffineMatrix:
     minimizing ``mean ||fixed_i - T(moving_i)||^2``.
 
     Requires at least 3 correspondences in a configuration of rank >= 2
-    (not all collinear); raises :class:`DegenerateConfigurationError`
-    otherwise and :class:`CorrespondenceError` on a size mismatch.
+    (not all collinear) whose moments neither overflow nor underflow the
+    float range; raises :class:`DegenerateConfigurationError` otherwise
+    and :class:`CorrespondenceError` on a size mismatch.
     """
     require_correspondence(moving, fixed)
     n = len(moving)
@@ -59,11 +60,17 @@ def umeyama_fit(moving: PointSet, fixed: PointSet) -> AffineMatrix:
             "point configuration is collinear or collapsed "
             f"(singular values {d[0]:.3e}, {d[1]:.3e}, {d[2]:.3e})"
         )
+    # past the rank check the points are distinct, so a zero variance is underflow
+    if var_src == 0.0:
+        raise DegenerateConfigurationError(
+            "moving points too close together: their variance underflows the float range"
+        )
     sign = np.ones(3)
     if np.linalg.det(u) * np.linalg.det(vt) < 0.0:
         sign[2] = -1.0
     rot = u @ np.diag(sign) @ vt
 
+    # the sum is at least d[0] > 0, so only an underflowing quotient gives 0
     scale = float((d * sign).sum()) / var_src
     if scale <= 0.0:
         raise DegenerateConfigurationError(

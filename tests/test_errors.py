@@ -128,6 +128,8 @@ def _dump(value):
 
 IDENTITY_ENTRIES = [float(v) for v in np.eye(4).reshape(-1)]
 HUGE_CSV = b"name,x,y,z\np0,1e308,1e308,1e308\np1,-1e308,1e308,-1e308\np2,1e308,-1e308,-1e308\np3,-1e308,-1e308,1e308\n"
+# a tetrahedron with 1e-170 mm edges, whose variance underflows to 0
+TINY_CSV = b"name,x,y,z\np0,0,0,0\np1,1e-170,0,0\np2,0,1e-170,0\np3,0,0,1e-170\n"
 
 
 @st.composite
@@ -215,6 +217,9 @@ def hostile_requests(draw):
 # finite coordinates whose moments overflow the closed-form fit
 @example(request=("register", "moving.csv", HUGE_CSV))
 @example(request=("compare", "cases/case_000/fixed.csv", HUGE_CSV))
+# a moving cloud too small to fit
+@example(request=("register", "moving.csv", TINY_CSV))
+@example(request=("compare", "cases/case_000/moving.csv", TINY_CSV))
 def test_hostile_files_exit_with_contract_code(request):
     command, target, content = request
     with tempfile.TemporaryDirectory() as root:

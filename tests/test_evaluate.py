@@ -25,6 +25,7 @@ from landreg import evaluate
 from landreg.evaluate import (
     METHODS,
     EvalCase,
+    MethodComparison,
     TREStat,
     compare_methods,
     paired_ttest,
@@ -247,7 +248,9 @@ def test_compare_single_identity_case():
     table = compare_methods([aligned_case()], {"identity": METHODS["identity"]})
     stat = table.fit["identity"]
     assert (stat.mean, stat.std) == (0.0, 0.0)
-    assert table.n_cases == 1
+    # the method names and the case count follow from fit, so they cannot disagree with it
+    assert [f.name for f in dataclasses.fields(MethodComparison)] == ["fit", "holdout", "reports", "ttests"]
+    assert (table.methods, table.n_cases) == (("identity",), 1)
     assert table.reports[0].case_id == "c0"
     assert table.ttests == {}
 
@@ -418,17 +421,21 @@ def test_compare_degenerate_ttest_recorded_as_none():
 def test_compare_csv_and_text_output():
     cases = generate_cases(4, 3, SynthConfig())
     table = compare_methods(cases, {name: METHODS[name] for name in ("identity", "umeyama")})
-    csv = table.to_csv()
-    lines = csv.strip().split("\n")
-    assert lines[0] == "method,mean_mm,std_mm,n_cases"
-    assert lines[1].startswith("identity,") and lines[1].endswith(",3")
-    assert lines[2].startswith("umeyama,")
-    assert float(lines[2].split(",")[1]) < 1e-9
+    rows = [line.split(",") for line in table.to_csv().splitlines()]
+    assert rows[0] == ["method", "mean_mm", "std_mm", "n_cases"]
+    assert rows[1:] == [[name, repr(stat.mean), repr(stat.std), "3"] for name, stat in table.fit.items()]
+    assert [name for name, *_ in rows[1:]] == ["identity", "umeyama"]
 
-    text = table.to_text()
-    assert "identity" in text and "umeyama" in text
-    assert "±" in text
-    assert "t =" in text and "p =" in text
+    # 3 decimals in the table, so the text does not hang on last-bit rounding
+    assert table.to_text() == (
+        "registration performance over 3 case(s); TRE in mm\n"
+        "method    fitting landmarks   hold-out landmarks\n"
+        "identity  12.276 ± 4.471 mm    12.033 ± 7.645 mm\n"
+        "umeyama    0.000 ± 0.000 mm     0.000 ± 0.000 mm\n"
+        "\n"
+        "paired t tests on per-case mean TRE (fitting landmarks)\n"
+        "identity vs umeyama: t = 4.756, p = 0.0415\n"
+    )
 
 
 def test_compare_skips_holdout_when_any_case_lacks_it():

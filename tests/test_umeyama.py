@@ -127,6 +127,19 @@ def test_collinear_points_rejected():
         umeyama_fit(line, line)
 
 
+@pytest.mark.parametrize(
+    "moving, fixed, message",
+    [
+        (1e-170 * TETRA, TETRA, "variance underflows"),
+        (1e153 * TETRA, 1e-200 * TETRA, r"scale is non-positive \(0\.000e\+00\)"),
+    ],
+    ids=["moving-variance", "scale"],
+)
+def test_moments_that_underflow_are_degenerate(moving, fixed, message):
+    with pytest.raises(DegenerateConfigurationError, match=message):
+        umeyama_fit(PointSet(moving), PointSet(fixed))
+
+
 def test_size_mismatch():
     with pytest.raises(CorrespondenceError):
         umeyama_fit(PointSet(TETRA), PointSet(TETRA[:3]))
