@@ -337,8 +337,9 @@ def rotation(rx: float, ry: float, rz: float) -> tuple[float, ...]:
     """Intrinsic Z-Y-X rotation ``Rz(rz) @ Ry(ry) @ Rx(rx)``.
 
     Returns the nine entries in row-major order as Python floats. This is
-    the one rotation: :func:`compose` and the refinement kernel both build
-    R from it, so a written matrix is the one the kernel scored.
+    the one rotation: :func:`compose` builds R from it, and the refinement
+    kernel (``_refine.c``) evaluates the same expressions in the same
+    order, so a written matrix is the one the kernel scored.
     """
     cx, snx = math.cos(rx), math.sin(rx)
     cy, sny = math.cos(ry), math.sin(ry)

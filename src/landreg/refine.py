@@ -7,16 +7,25 @@ independently, which is exactly the family the closed-form fit cannot
 reach. The result is the best-loss iterate visited inside the family (all
 scales positive), never the last one, so refinement can only match or
 improve its starting point.
+
+The loss, its gradient and the Adam loop run in one C kernel,
+``_refine.c``, built with the system C compiler on the first call and
+cached beside this module. It reproduces the scalar float arithmetic of
+a plain Python loop operation for operation, so its results are
+bit-identical to that loop's.
 """
 
 from __future__ import annotations
 
-import math
+import ctypes
+import functools
+import os
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AffineParams9, PointSet, require_correspondence, require_integer, require_real, rotation
+from .core import AffineParams9, PointSet, require_correspondence, require_integer, require_real
 from .errors import DivergenceError, InvalidParameterError
 
 TRACE_STRIDE = 100
@@ -69,81 +78,83 @@ class RefineResult:
     best_iteration: int
 
 
-def _pairs(moving: PointSet, fixed: PointSet) -> list[list[float]]:
-    """Correspondences as rows (px, py, pz, fx, fy, fz) of Python floats."""
-    return np.hstack((moving.coords, fixed.coords)).tolist()
+def _pairs(moving: PointSet, fixed: PointSet) -> np.ndarray:
+    """Correspondences as C-contiguous rows (px, py, pz, fx, fy, fz)."""
+    return np.hstack((moving.coords, fixed.coords))
 
 
-def _loss_and_gradient(theta, pairs) -> tuple[float, list[float]]:
-    """Mean regularized distance and its 9 partial derivatives at ``theta``.
+# The kernel is one C file, compiled on first use into the package's
+# __pycache__ and loaded through ctypes. The library's name carries the
+# CRC-32 of the compiler command and the source, so an edited source is
+# built anew. Contraction into fused multiply-adds is off: it would round
+# differently from the scalar arithmetic the kernel reproduces.
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_refine.c")
+_CACHE = os.path.join(os.path.dirname(_SOURCE), "__pycache__")
+_COMPILE = ("cc", "-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
-    ``theta`` is (tx, ty, tz, rx, ry, rz, sx, sy, sz) and ``pairs`` the
-    rows of :func:`_pairs`. Everything is scalar float arithmetic in one
-    pass over the points: the landmark sets are small, so array calls
-    would cost more than the arithmetic. Scales may be arbitrary here: the
-    optimizer owns the raw vector and only converts back to validated
-    parameters at the end.
+# landreg_refine's status codes, as _refine.c defines them
+_NONFINITE_LOSS = 1
+_NONFINITE_ANGLE = 2
 
-    With g_i the loss gradient at the i-th transformed point and p_i the
-    i-th moving point, the translation gradient is sum(g_i), and every
-    other derivative comes from the moment matrix H = sum(g_i p_i^T):
-    ``d/ds_j = sum_k R[k, j] H[k, j]`` and ``d/dr = <dR/dr, H diag(s)>``
-    with ``dR/drx = R Gx``, ``dR/dry = [Rz e_y]x R`` and ``dR/drz = Gz R``,
-    where G is the generator of the rotation about an axis.
+
+def _build(library: str) -> None:
+    """Compile the kernel in a temporary directory in the cache, then move it to ``library``.
+
+    Processes that build at once each compile their own file and move it
+    into place whole, so every one of them loads a complete library.
     """
-    loss_epsilon = LOSS_EPSILON
-    tx, ty, tz, rx, ry, rz, sx, sy, sz = theta
-    r00, r01, r02, r10, r11, r12, r20, r21, r22 = rotation(rx, ry, rz)
-    # Rz's column e_y, for dR/dry
-    cz, snz = math.cos(rz), math.sin(rz)
-    # linear part R @ diag(s)
-    a00, a01, a02 = r00 * sx, r01 * sy, r02 * sz
-    a10, a11, a12 = r10 * sx, r11 * sy, r12 * sz
-    a20, a21, a22 = r20 * sx, r21 * sy, r22 * sz
+    import shutil
+    import subprocess
+    import tempfile
 
-    n = len(pairs)
-    total = gx = gy = gz = 0.0
-    h00 = h01 = h02 = h10 = h11 = h12 = h20 = h21 = h22 = 0.0
-    for px, py, pz, fx, fy, fz in pairs:
-        ex = fx - (a00 * px + a01 * py + a02 * pz + tx)
-        ey = fy - (a10 * px + a11 * py + a12 * pz + ty)
-        ez = fz - (a20 * px + a21 * py + a22 * pz + tz)
-        dist = math.sqrt(ex * ex + ey * ey + ez * ez + loss_epsilon)
-        total += dist
-        # d(loss)/d(predicted_i) = -resid_i / (n * dist_i)
-        nd = n * dist
-        ux, uy, uz = -ex / nd, -ey / nd, -ez / nd
-        gx += ux
-        gy += uy
-        gz += uz
-        h00 += ux * px
-        h01 += ux * py
-        h02 += ux * pz
-        h10 += uy * px
-        h11 += uy * py
-        h12 += uy * pz
-        h20 += uz * px
-        h21 += uz * py
-        h22 += uz * pz
+    os.makedirs(_CACHE, exist_ok=True)
+    scratch = tempfile.mkdtemp(prefix="_refine.", suffix=".tmp", dir=_CACHE)
+    partial = os.path.join(scratch, os.path.basename(library))
+    try:
+        try:
+            done = subprocess.run([*_COMPILE, "-o", partial, _SOURCE, "-lm"],
+                                  stdin=subprocess.DEVNULL, capture_output=True, text=True)
+        except FileNotFoundError as exc:
+            raise OSError(f"cannot build the refinement kernel: no C compiler '{_COMPILE[0]}' found") from exc
+        if done.returncode != 0:
+            first = (done.stderr.strip().splitlines() or [""])[0]
+            raise OSError(f"cannot build the refinement kernel: '{_COMPILE[0]}' exited with "
+                          f"status {done.returncode}: {first}")
+        os.replace(partial, library)
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
 
-    # M = H @ diag(s), the gradient with respect to R
-    m00, m01, m02 = h00 * sx, h01 * sy, h02 * sz
-    m10, m11, m12 = h10 * sx, h11 * sy, h12 * sz
-    m20, m21, m22 = h20 * sx, h21 * sy, h22 * sz
-    grad = [
-        gx,
-        gy,
-        gz,
-        (r02 * m01 + r12 * m11 + r22 * m21) - (r01 * m02 + r11 * m12 + r21 * m22),
-        cz * (r20 * m00 + r21 * m01 + r22 * m02)
-        + snz * (r20 * m10 + r21 * m11 + r22 * m12)
-        - ((cz * r00 + snz * r10) * m20 + (cz * r01 + snz * r11) * m21 + (cz * r02 + snz * r12) * m22),
-        (r00 * m10 + r01 * m11 + r02 * m12) - (r10 * m00 + r11 * m01 + r12 * m02),
-        r00 * h00 + r10 * h10 + r20 * h20,
-        r01 * h01 + r11 * h11 + r21 * h21,
-        r02 * h02 + r12 * h12 + r22 * h22,
-    ]
-    return total / n, grad
+
+@functools.cache
+def _kernel() -> ctypes.CDLL:
+    """The compiled kernel, built on the first call if the cache lacks this version."""
+    with open(_SOURCE, "rb") as fh:
+        key = zlib.crc32(" ".join(_COMPILE).encode() + b"\0" + fh.read())
+    library = os.path.join(_CACHE, f"_refine.{key:08x}.so")
+    if not os.path.exists(library):
+        _build(library)
+    lib = ctypes.CDLL(library)
+    # Arrays go in as bare addresses: each is a C-contiguous float64 (or
+    # int64) array of the kernel's sizes, made by the caller just before
+    # the call and held in a local until it returns.
+    address, count = ctypes.c_void_p, ctypes.c_int64
+    lib.landreg_loss_and_gradient.argtypes = (address, address, count, ctypes.c_double, address)
+    lib.landreg_loss_and_gradient.restype = ctypes.c_double
+    lib.landreg_refine.argtypes = (
+        address, count, address, count, *[ctypes.c_double] * 5, count,
+        address, address, ctypes.POINTER(count), address, ctypes.POINTER(count),
+    )
+    lib.landreg_refine.restype = ctypes.c_int
+    return lib
+
+
+def _loss_and_gradient(params: AffineParams9, moving: PointSet, fixed: PointSet) -> tuple[float, np.ndarray]:
+    """Mean regularized distance at ``params`` and its 9 partial derivatives."""
+    require_correspondence(moving, fixed)
+    theta, pairs, grad = np.array(params.t + params.r + params.s), _pairs(moving, fixed), np.empty(9)
+    value = _kernel().landreg_loss_and_gradient(
+        theta.ctypes.data, pairs.ctypes.data, len(pairs), LOSS_EPSILON, grad.ctypes.data)
+    return value, grad
 
 
 def loss(params: AffineParams9, moving: PointSet, fixed: PointSet) -> float:
@@ -154,9 +165,7 @@ def loss(params: AffineParams9, moving: PointSet, fixed: PointSet) -> float:
     zero. This is the quantity :func:`refine` descends, and it matches the
     registration error metric up to the regularizer.
     """
-    require_correspondence(moving, fixed)
-    value, _ = _loss_and_gradient(params.t + params.r + params.s, _pairs(moving, fixed))
-    return value
+    return _loss_and_gradient(params, moving, fixed)[0]
 
 
 def loss_gradient(params: AffineParams9, moving: PointSet, fixed: PointSet) -> np.ndarray:
@@ -166,9 +175,7 @@ def loss_gradient(params: AffineParams9, moving: PointSet, fixed: PointSet) -> n
     the matrix composition. Agrees with central finite differences to a
     relative error below 1e-4 on any non-vanishing component.
     """
-    require_correspondence(moving, fixed)
-    _, grad = _loss_and_gradient(params.t + params.r + params.s, _pairs(moving, fixed))
-    return np.array(grad)
+    return _loss_and_gradient(params, moving, fixed)[1]
 
 
 def refine(init: AffineParams9, moving: PointSet, fixed: PointSet,
@@ -184,58 +191,40 @@ def refine(init: AffineParams9, moving: PointSet, fixed: PointSet,
 
     Raises :class:`DivergenceError`, tagged with the iteration, if the
     loss becomes non-finite or the parameters leave the range the
-    arithmetic can evaluate.
+    arithmetic can evaluate (an infinite angle), and ``OSError`` if the
+    kernel is not built yet and cannot be.
     """
     require_correspondence(moving, fixed)
     cfg = config if config is not None else RefineConfig()
-    pairs = _pairs(moving, fixed)
-    step_size, beta1, beta2, epsilon = cfg.step_size, BETA1, BETA2, ADAM_EPSILON
-    keep1, keep2 = 1.0 - beta1, 1.0 - beta2
-
-    theta = list(init.t + init.r + init.s)
-    m = [0.0] * 9
-    v = [0.0] * 9
-    trace: list[tuple[int, float]] = []
-
-    k = 0
+    # iterations 0 and 1, every TRACE_STRIDE-th and the last
+    samples = cfg.iterations // TRACE_STRIDE + 3
     try:
-        value, grad = _loss_and_gradient(theta, pairs)
-        if not math.isfinite(value):
+        trace_iterations, trace_losses = np.empty(samples, np.int64), np.empty(samples)
+    except (MemoryError, ValueError) as exc:  # ValueError: more samples than an array can index
+        raise MemoryError(f"cannot allocate a loss trace of {samples} samples") from exc
+    pairs, theta, losses = _pairs(moving, fixed), np.array(init.t + init.r + init.s), np.empty(2)
+    at, traced = ctypes.c_int64(), ctypes.c_int64()
+    status = _kernel().landreg_refine(
+        pairs.ctypes.data, len(pairs), theta.ctypes.data, cfg.iterations,
+        cfg.step_size, BETA1, BETA2, ADAM_EPSILON, LOSS_EPSILON, TRACE_STRIDE,
+        trace_iterations.ctypes.data, trace_losses.ctypes.data, ctypes.byref(traced),
+        losses.ctypes.data, ctypes.byref(at),
+    )
+    k = at.value
+    if status == _NONFINITE_ANGLE:
+        # the error Python's math.cos raises on an infinite angle
+        raise DivergenceError(f"arithmetic failed at iteration {k}: math domain error",
+                              iteration=k) from ValueError("math domain error")
+    if status == _NONFINITE_LOSS:
+        if k == 0:
             raise DivergenceError("loss is non-finite at the initial parameters", iteration=0)
-        initial_loss = value
-        best_loss = value
-        best_theta = tuple(theta)
-        best_iteration = 0
-        trace.append((0, value))
+        raise DivergenceError(f"loss became non-finite at iteration {k}", iteration=k)
 
-        for k in range(1, cfg.iterations + 1):
-            correction1 = 1.0 - beta1**k
-            correction2 = 1.0 - beta2**k
-            for i in range(9):
-                g = grad[i]
-                m[i] = beta1 * m[i] + keep1 * g
-                v[i] = beta2 * v[i] + keep2 * g * g
-                theta[i] = theta[i] - step_size * (m[i] / correction1) / (
-                    math.sqrt(v[i] / correction2) + epsilon)
-
-            value, grad = _loss_and_gradient(theta, pairs)
-            if not math.isfinite(value):
-                raise DivergenceError(f"loss became non-finite at iteration {k}", iteration=k)
-            # a reflected iterate may fit better but lies outside the family
-            if value < best_loss and theta[6] > 0 and theta[7] > 0 and theta[8] > 0:
-                best_loss = value
-                best_theta = tuple(theta)
-                best_iteration = k
-            if k == 1 or k % TRACE_STRIDE == 0 or k == cfg.iterations:
-                trace.append((k, value))
-    except (ValueError, ArithmeticError) as exc:
-        # math functions raise where array arithmetic would yield nan or inf
-        raise DivergenceError(f"arithmetic failed at iteration {k}: {exc}", iteration=k) from exc
-
+    n = traced.value
     return RefineResult(
-        params=AffineParams9.from_vector(best_theta),
-        loss_trace=tuple(trace),
-        initial_loss=initial_loss,
-        final_loss=best_loss,
-        best_iteration=best_iteration,
+        params=AffineParams9.from_vector(theta),
+        loss_trace=tuple(zip(trace_iterations[:n].tolist(), trace_losses[:n].tolist())),
+        initial_loss=float(losses[0]),
+        final_loss=float(losses[1]),
+        best_iteration=k,
     )

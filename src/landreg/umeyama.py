@@ -9,6 +9,9 @@ even for reflective correspondences.
 
 from __future__ import annotations
 
+import math
+import sys
+
 import numpy as np
 
 from .core import AffineMatrix, PointSet, require_correspondence
@@ -27,9 +30,10 @@ def umeyama_fit(moving: PointSet, fixed: PointSet) -> AffineMatrix:
     minimizing ``mean ||fixed_i - T(moving_i)||^2``.
 
     Requires at least 3 correspondences in a configuration of rank >= 2
-    (not all collinear) whose moments neither overflow nor underflow the
-    float range; raises :class:`DegenerateConfigurationError` otherwise
-    and :class:`CorrespondenceError` on a size mismatch.
+    (not all collinear) whose moments, and the cube of whose fitted scale,
+    neither overflow nor underflow the float range; raises
+    :class:`DegenerateConfigurationError` otherwise and
+    :class:`CorrespondenceError` on a size mismatch.
     """
     require_correspondence(moving, fixed)
     n = len(moving)
@@ -70,11 +74,19 @@ def umeyama_fit(moving: PointSet, fixed: PointSet) -> AffineMatrix:
         sign[2] = -1.0
     rot = u @ np.diag(sign) @ vt
 
-    # the sum is at least d[0] > 0, so only an underflowing quotient gives 0
+    # the sum is at least d[0] > 0, so the scale is positive unless the
+    # quotient underflows; the transform's determinant is its cube
     scale = float((d * sign).sum()) / var_src
-    if scale <= 0.0:
+    determinant = scale * scale * scale
+    if determinant == math.inf:
         raise DegenerateConfigurationError(
-            f"optimal uniform scale is non-positive ({scale:.3e})"
+            f"optimal uniform scale is too large ({scale:.3e}): its cube, the determinant, "
+            "overflows the float range; the moving points are too close together for the fixed points"
+        )
+    if determinant < sys.float_info.min:
+        raise DegenerateConfigurationError(
+            f"optimal uniform scale is too small ({scale:.3e}): its cube, the determinant, "
+            "underflows the float range; the fixed points are too close together for the moving points"
         )
     translation = mu_dst - scale * rot @ mu_src
     return AffineMatrix.from_linear_translation(scale * rot, translation)

@@ -2,11 +2,15 @@
 
 import contextlib
 import io
+import math
 import os
+import shutil
 import subprocess
 import sys
 
 import landreg
+from landreg import PointSet, write_points
+from landreg.refine import LOSS_EPSILON
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
@@ -25,14 +29,69 @@ def test_every_exported_name_exists():
     assert all(hasattr(landreg, name) for name in landreg.__all__)
 
 
-def test_importing_the_cli_loads_no_process_pool_or_scipy():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(landreg.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+def package_copy(tmp_path):
+    """A copy of the package with an empty kernel cache: the cache and an environment that imports the copy."""
+    src = tmp_path / "src"
+    shutil.copytree(os.path.dirname(os.path.abspath(landreg.__file__)), src / "landreg",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    return src / "landreg" / "__pycache__", env
+
+
+def kernel_files(cache):
+    return sorted(name for name in os.listdir(cache) if name.startswith("_refine.")) if cache.exists() else []
+
+
+def test_importing_the_cli_loads_no_process_pool_or_scipy(tmp_path):
+    # nor the modules only a kernel build needs, and it builds no kernel
+    cache, env = package_copy(tmp_path)
     probe = (
         "import sys, landreg.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent', 'scipy')))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('multiprocessing', 'concurrent', 'scipy', 'hashlib', 'subprocess')))"
     )
     loaded = subprocess.run(
         [sys.executable, "-c", probe], stdout=subprocess.PIPE, env=env, timeout=60, check=True, text=True
     )
     assert loaded.stdout == "[]\n"
+    assert kernel_files(cache) == []
+
+
+def test_processes_building_at_once_leave_one_library(tmp_path):
+    cache, env = package_copy(tmp_path)
+    # a compiler slow enough that both processes find the cache empty and build
+    slow, log = tmp_path / "bin", tmp_path / "builds.log"
+    slow.mkdir()
+    (slow / "cc").write_text(f'#!/bin/sh\necho build >> "{log}"\nsleep 0.5\nexec "{shutil.which("cc")}" "$@"\n')
+    (slow / "cc").chmod(0o755)
+    env["PATH"] = os.pathsep.join([str(slow), env["PATH"]])
+    probe = (
+        "from landreg.core import AffineParams9, PointSet; from landreg.refine import loss; "
+        "print(loss(AffineParams9.identity(), PointSet([[0.0, 0.0, 0.0]]), PointSet([[3.0, 4.0, 0.0]])))"
+    )
+    runs = [subprocess.Popen([sys.executable, "-c", probe], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             env=env, text=True) for _ in range(2)]
+    outputs = [(run.communicate(timeout=120), run.returncode) for run in runs]
+    for (out, err), code in outputs:
+        assert code == 0, err
+        assert float(out) == math.sqrt(25.0 + LOSS_EPSILON)
+    assert log.read_text().splitlines() == ["build", "build"]
+    library = kernel_files(cache)
+    assert len(library) == 1 and library[0].endswith(".so"), library
+
+
+def test_missing_compiler_is_one_error_line(tmp_path):
+    cache, env = package_copy(tmp_path)
+    env["PATH"] = str(tmp_path / "nothing")
+    names = ("a", "b", "c", "d")
+    tetra = [[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [0.0, 10.0, 0.0], [0.0, 0.0, 10.0]]
+    write_points(PointSet(tetra, names), str(tmp_path / "moving.csv"))
+    write_points(PointSet([[2 * x + 1 for x in row] for row in tetra], names), str(tmp_path / "fixed.csv"))
+    run = subprocess.run(
+        [sys.executable, "-m", "landreg.cli", "register", "moving.csv", "fixed.csv", "out.json", "--refine"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr == "error: cannot build the refinement kernel: no C compiler 'cc' found\n"
+    assert kernel_files(cache) == []
+    assert not (tmp_path / "out.json").exists()

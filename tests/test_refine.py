@@ -12,6 +12,7 @@ from landreg.core import (
     PointSet,
     compose,
     decompose,
+    rotation,
     transform_array,
 )
 from landreg.errors import CorrespondenceError, DivergenceError, InvalidParameterError
@@ -21,6 +22,7 @@ from landreg.refine import (
     BETA1,
     BETA2,
     LOSS_EPSILON,
+    TRACE_STRIDE,
     RefineConfig,
     RefineResult,
     loss,
@@ -119,6 +121,95 @@ def oracle_final_loss(init, moving, fixed, cfg=RefineConfig()):
     return best
 
 
+# The scalar Python kernel and Adam loop that the compiled kernel replaced,
+# kept as its oracle: the C code repeats each expression in this order.
+def scalar_loss_and_gradient(theta, pairs):
+    tx, ty, tz, rx, ry, rz, sx, sy, sz = theta
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = rotation(rx, ry, rz)
+    # Rz's column e_y, for dR/dry
+    cz, snz = math.cos(rz), math.sin(rz)
+    # linear part R @ diag(s)
+    a00, a01, a02 = r00 * sx, r01 * sy, r02 * sz
+    a10, a11, a12 = r10 * sx, r11 * sy, r12 * sz
+    a20, a21, a22 = r20 * sx, r21 * sy, r22 * sz
+
+    n = len(pairs)
+    total = gx = gy = gz = 0.0
+    h00 = h01 = h02 = h10 = h11 = h12 = h20 = h21 = h22 = 0.0
+    for px, py, pz, fx, fy, fz in pairs:
+        ex = fx - (a00 * px + a01 * py + a02 * pz + tx)
+        ey = fy - (a10 * px + a11 * py + a12 * pz + ty)
+        ez = fz - (a20 * px + a21 * py + a22 * pz + tz)
+        dist = math.sqrt(ex * ex + ey * ey + ez * ez + LOSS_EPSILON)
+        total += dist
+        nd = n * dist
+        ux, uy, uz = -ex / nd, -ey / nd, -ez / nd
+        gx += ux
+        gy += uy
+        gz += uz
+        h00 += ux * px
+        h01 += ux * py
+        h02 += ux * pz
+        h10 += uy * px
+        h11 += uy * py
+        h12 += uy * pz
+        h20 += uz * px
+        h21 += uz * py
+        h22 += uz * pz
+
+    # M = H @ diag(s), the gradient with respect to R
+    m00, m01, m02 = h00 * sx, h01 * sy, h02 * sz
+    m10, m11, m12 = h10 * sx, h11 * sy, h12 * sz
+    m20, m21, m22 = h20 * sx, h21 * sy, h22 * sz
+    grad = [
+        gx,
+        gy,
+        gz,
+        (r02 * m01 + r12 * m11 + r22 * m21) - (r01 * m02 + r11 * m12 + r21 * m22),
+        cz * (r20 * m00 + r21 * m01 + r22 * m02)
+        + snz * (r20 * m10 + r21 * m11 + r22 * m12)
+        - ((cz * r00 + snz * r10) * m20 + (cz * r01 + snz * r11) * m21 + (cz * r02 + snz * r12) * m22),
+        (r00 * m10 + r01 * m11 + r02 * m12) - (r10 * m00 + r11 * m01 + r12 * m02),
+        r00 * h00 + r10 * h10 + r20 * h20,
+        r01 * h01 + r11 * h11 + r21 * h21,
+        r02 * h02 + r12 * h12 + r22 * h22,
+    ]
+    return total / n, grad
+
+
+def scalar_refine(init, moving, fixed, cfg=RefineConfig()):
+    pairs = np.hstack((moving.coords, fixed.coords)).tolist()
+    step_size, beta1, beta2, epsilon = cfg.step_size, BETA1, BETA2, ADAM_EPSILON
+    keep1, keep2 = 1.0 - beta1, 1.0 - beta2
+    theta = list(init.t + init.r + init.s)
+    m = [0.0] * 9
+    v = [0.0] * 9
+    value, grad = scalar_loss_and_gradient(theta, pairs)
+    assert math.isfinite(value)
+    initial_loss = best_loss = value
+    best_theta = tuple(theta)
+    best_iteration = 0
+    trace = [(0, value)]
+    for k in range(1, cfg.iterations + 1):
+        correction1 = 1.0 - beta1**k
+        correction2 = 1.0 - beta2**k
+        for i in range(9):
+            g = grad[i]
+            m[i] = beta1 * m[i] + keep1 * g
+            v[i] = beta2 * v[i] + keep2 * g * g
+            theta[i] = theta[i] - step_size * (m[i] / correction1) / (
+                math.sqrt(v[i] / correction2) + epsilon)
+        value, grad = scalar_loss_and_gradient(theta, pairs)
+        assert math.isfinite(value)
+        if value < best_loss and theta[6] > 0 and theta[7] > 0 and theta[8] > 0:
+            best_loss = value
+            best_theta = tuple(theta)
+            best_iteration = k
+        if k == 1 or k % TRACE_STRIDE == 0 or k == cfg.iterations:
+            trace.append((k, value))
+    return RefineResult(AffineParams9.from_vector(best_theta), tuple(trace), initial_loss, best_loss, best_iteration)
+
+
 @pytest.mark.parametrize("n", [1, 3, 4, 12, 50])
 def test_loss_and_gradient_match_array_oracle(n):
     rng = np.random.default_rng(n)
@@ -129,6 +220,58 @@ def test_loss_and_gradient_match_array_oracle(n):
         assert abs(loss(params, moving, fixed) - want_loss) <= 1e-12 * want_loss
         grad = loss_gradient(params, moving, fixed)
         assert np.abs(grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 12, 50])
+def test_loss_and_gradient_match_scalar_oracle_bit_for_bit(n):
+    # the instances of the array-oracle test above
+    rng = np.random.default_rng(n)
+    for _ in range(50):
+        params, moving, fixed = random_instance(rng, n)
+        params = AffineParams9(params.t, tuple(rng.uniform(-3, 3, 3)), params.s)
+        pairs = np.hstack((moving.coords, fixed.coords)).tolist()
+        want_loss, want_grad = scalar_loss_and_gradient(params.t + params.r + params.s, pairs)
+        assert loss(params, moving, fixed).hex() == want_loss.hex()
+        assert [g.hex() for g in loss_gradient(params, moving, fixed).tolist()] == [g.hex() for g in want_grad]
+
+
+def bit_pattern(result):
+    """Every number of a RefineResult as exact hex text."""
+    return (
+        [x.hex() for x in result.params.t + result.params.r + result.params.s],
+        result.initial_loss.hex(),
+        result.final_loss.hex(),
+        result.best_iteration,
+        [(k, value.hex()) for k, value in result.loss_trace],
+    )
+
+
+def kernel_and_scalar_patterns(case):
+    start = decompose(umeyama_fit(case.moving, case.fixed))
+    kernel = bit_pattern(refine(start, case.moving, case.fixed))
+    return kernel, bit_pattern(scalar_refine(start, case.moving, case.fixed))
+
+
+def test_refine_matches_scalar_oracle_bit_for_bit():
+    # 112 cases at the paper defaults: seeds 11, 23, 5 and 7; 4, 8 and 12
+    # fitting landmarks; 0 and 1 mm noise; uniform and nonuniform scales,
+    # with a third case at 4 landmarks, the paper's count. Each case is one
+    # task on forked workers.
+    cases = {
+        (seed, n_fit, noise, mode, case.case_id): case
+        for seed in (11, 23, 5, 7)
+        for n_fit in (4, 8, 12)
+        for noise in (0.0, 1.0)
+        for mode in ("uniform", "nonuniform")
+        for case in generate_cases(seed, 3 if n_fit == 4 else 2,
+                                   SynthConfig(n_fit=n_fit, noise_sigma=noise, scale_mode=mode))
+    }
+    assert len(cases) >= 100
+    workers = min(len(cases), _usable_cpus())
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        patterns = pool.map(kernel_and_scalar_patterns, cases.values())
+        for key, (kernel, scalar) in zip(cases, patterns):
+            assert kernel == scalar, key
 
 
 def one_ulp_away(params, index):
@@ -214,6 +357,13 @@ def test_iterations_may_be_a_numpy_integer():
     moving = PointSet(TETRA)
     result = refine(AffineParams9.identity(), moving, moving, RefineConfig(iterations=np.int64(2)))
     assert result.loss_trace[-1][0] == 2
+
+
+@pytest.mark.parametrize("iterations", [10**18, 10**400], ids=["unallocatable", "unindexable"])
+def test_a_trace_too_long_to_hold_is_a_memory_error(iterations):
+    moving = PointSet(TETRA)
+    with pytest.raises(MemoryError, match="^cannot allocate a loss trace of "):
+        refine(AffineParams9.identity(), moving, moving, RefineConfig(iterations=iterations))
 
 
 def test_loss_at_exact_fit_is_epsilon_floor():

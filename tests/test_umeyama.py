@@ -131,9 +131,10 @@ def test_collinear_points_rejected():
     "moving, fixed, message",
     [
         (1e-170 * TETRA, TETRA, "variance underflows"),
-        (1e153 * TETRA, 1e-200 * TETRA, r"scale is non-positive \(0\.000e\+00\)"),
+        (1e-160 * TETRA, TETRA, "scale is too large .*: its cube, the determinant, overflows .*; the moving points"),
+        (1e153 * TETRA, 1e-200 * TETRA, r"scale is too small \(0\.000e\+00\): .* underflows .*; the fixed points"),
     ],
-    ids=["moving-variance", "scale"],
+    ids=["moving-variance", "scale-overflow", "scale"],
 )
 def test_moments_that_underflow_are_degenerate(moving, fixed, message):
     with pytest.raises(DegenerateConfigurationError, match=message):
