@@ -326,51 +326,6 @@ def _run_case(case: EvalCase, methods: Mapping[str, Fitter]) -> list[Registratio
     return reports
 
 
-# The cohort of a forked worker process, installed right after the fork so
-# that the fitters (closures, lambdas) are inherited and never pickled.
-_worker_cohort: tuple[Sequence[EvalCase], Mapping[str, Fitter]] | None = None
-
-
-def _install_worker_cohort(cases: Sequence[EvalCase], methods: Mapping[str, Fitter]) -> None:
-    global _worker_cohort
-    _worker_cohort = (cases, methods)
-
-
-def _run_worker_case(index: int) -> list[RegistrationReport] | None:
-    """Case ``index`` of the worker's cohort; None marks a failure for the parent to re-run."""
-    cases, methods = _worker_cohort
-    try:
-        return _run_case(cases[index], methods)
-    except Exception:
-        return None
-
-
-def _run_leading_cases_forked(
-    cases: Sequence[EvalCase], methods: Mapping[str, Fitter], workers: int
-) -> list[list[RegistrationReport]]:
-    """Reports of the cases before the first failing one, run on forked workers.
-
-    Only case indices and reports cross between processes. A worker that
-    dies raises ``BrokenProcessPool``.
-    """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    done: list[list[RegistrationReport]] = []
-    with ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_install_worker_cohort,
-        initargs=(cases, methods),
-    ) as pool:
-        for reports in pool.map(_run_worker_case, range(len(cases))):
-            if reports is None:
-                pool.shutdown(cancel_futures=True)
-                break
-            done.append(reports)
-    return done
-
-
 def compare_methods(cases: Sequence[EvalCase], methods: Mapping[str, Fitter]) -> MethodComparison:
     """Run every method on every case and aggregate TRE across cases.
 
@@ -383,23 +338,23 @@ def compare_methods(cases: Sequence[EvalCase], methods: Mapping[str, Fitter]) ->
     rather than raising. No case or no method is
     :class:`InsufficientSampleError`.
 
-    Cases run on forked worker processes, one per usable CPU, and are
-    assembled in case order, so the result equals a serial run. A case
-    that fails in a worker is re-run in this process, the earliest first,
-    so its error is raised here: a library error as the same object, its
-    message prefixed with the case id and method name; any other exception
-    propagates untouched. Ordering is deterministic: cases and methods in
-    the given order.
+    Cases run on a pool of threads, one per usable CPU capped at the
+    number of cases, so fitters may be called from several threads at
+    once. Reports are assembled in case order, so the result equals a
+    serial run. The error of the first failing case in case order is
+    raised: a library error as the same object, its message prefixed with
+    the case id and method name; any other exception untouched. Ordering is
+    deterministic: cases and methods in the given order.
     """
     if not cases:
         raise InsufficientSampleError("compare_methods needs at least one case")
     if not methods:
         raise InsufficientSampleError("compare_methods needs at least one method")
 
-    workers = min(len(cases), _usable_cpus())
-    forked = workers > 1 and hasattr(os, "fork")
-    per_case = _run_leading_cases_forked(cases, methods, workers) if forked else []
-    per_case += [_run_case(case, methods) for case in cases[len(per_case):]]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(min(len(cases), _usable_cpus())) as pool:
+        per_case = list(pool.map(_run_case, cases, itertools.repeat(methods)))
     reports = [report for case_reports in per_case for report in case_reports]
 
     fit = {name: TREStat.from_values([r.fit_tre.mean for r in reports if r.method == name]) for name in methods}

@@ -20,6 +20,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
+import threading
 import zlib
 from dataclasses import dataclass
 
@@ -91,6 +92,9 @@ def _pairs(moving: PointSet, fixed: PointSet) -> np.ndarray:
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_refine.c")
 _CACHE = os.path.join(os.path.dirname(_SOURCE), "__pycache__")
 _COMPILE = ("cc", "-O2", "-ffp-contract=off", "-fPIC", "-shared")
+# functools.cache lets threads that miss at once all run the call, so this
+# lock lets only one of them build the library
+_BUILD_LOCK = threading.Lock()
 
 # landreg_refine's status codes, as _refine.c defines them
 _NONFINITE_LOSS = 1
@@ -131,8 +135,9 @@ def _kernel() -> ctypes.CDLL:
     with open(_SOURCE, "rb") as fh:
         key = zlib.crc32(" ".join(_COMPILE).encode() + b"\0" + fh.read())
     library = os.path.join(_CACHE, f"_refine.{key:08x}.so")
-    if not os.path.exists(library):
-        _build(library)
+    with _BUILD_LOCK:
+        if not os.path.exists(library):
+            _build(library)
     lib = ctypes.CDLL(library)
     # Arrays go in as bare addresses: each is a C-contiguous float64 (or
     # int64) array of the kernel's sizes, made by the caller just before

@@ -3,8 +3,7 @@
 import dataclasses
 import functools
 import math
-import os
-from concurrent.futures.process import BrokenProcessPool
+import threading
 
 import numpy as np
 import pytest
@@ -284,7 +283,7 @@ def test_compare_annotates_errors_with_case_id():
 
 @pytest.fixture
 def several_cpus(monkeypatch):
-    """Pretend four usable CPUs, so cohorts of two or more cases run on forked workers."""
+    """Pretend four usable CPUs, so cohorts of two or more cases run on several threads."""
     monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 4)
 
 
@@ -301,7 +300,7 @@ def failing_at_last(case_ids, error):
     return cases, fit
 
 
-# One case runs in this process; in three, the last fails in a forked worker.
+# One case runs on one thread; three run on three threads, and the last fails.
 COHORTS = pytest.mark.parametrize("case_ids", [["c7"], ["c0", "c1", "c7"]], ids=["one-case", "three-cases"])
 
 
@@ -340,58 +339,69 @@ def test_compare_raises_the_earliest_failing_case(several_cpus):
     assert str(info.value) == "[case c1, method diverging] boom"
 
 
-def test_compare_recovers_a_case_that_fails_only_in_a_worker(several_cpus):
+def test_compare_raises_case_order_not_time_order(several_cpus):
     cases = [aligned_case(f"c{i}") for i in range(3)]
-    parent = os.getpid()
+    c2_failed, failed = threading.Event(), []
 
-    def flaky(moving, fixed):
-        if os.getpid() != parent and fixed is cases[1].fixed:
-            raise MemoryError
+    def diverging(moving, fixed):
+        if fixed is cases[2].fixed:
+            failed.append("c2")
+            c2_failed.set()
+            raise DivergenceError("first", iteration=2)
+        if fixed is cases[1].fixed:
+            c2_failed.wait(timeout=5)
+            failed.append("c1")
+            raise DivergenceError("second", iteration=1)
         return AffineMatrix.identity()
 
-    table = compare_methods(cases, {"flaky": flaky})
-    assert [report.case_id for report in table.reports] == ["c0", "c1", "c2"]
+    with pytest.raises(DivergenceError) as info:
+        compare_methods(cases, {"diverging": diverging})
+    assert failed == ["c2", "c1"]
+    assert str(info.value) == "[case c1, method diverging] second"
 
 
-def test_compare_reports_a_dead_worker(several_cpus):
-    parent = os.getpid()
+def test_compare_runs_cases_at_once(monkeypatch):
+    # each fit returns only once both cases are fitting
+    monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 2)
+    barrier = threading.Barrier(2, timeout=5)
 
-    def dying(moving, fixed):
-        if os.getpid() != parent:
-            os._exit(1)
+    def meeting(moving, fixed):
+        barrier.wait()
         return AffineMatrix.identity()
 
-    with pytest.raises(BrokenProcessPool):
-        compare_methods([aligned_case("a"), aligned_case("b")], {"dying": dying})
+    table = compare_methods([aligned_case("a"), aligned_case("b")], {"meeting": meeting})
+    assert [report.case_id for report in table.reports] == ["a", "b"]
 
 
-def test_compare_forked_workers_equal_one_worker(monkeypatch):
+def test_compare_thread_pool_equals_one_worker(monkeypatch):
+    import concurrent.futures
+
     cfg = SynthConfig(scale_mode="nonuniform", noise_sigma=1.0)
     cases = generate_cases(11, 6, cfg)
     methods = {**METHODS, "umeyama+refine": functools.partial(refined_fit, config=RefineConfig(iterations=500))}
-    forked_calls = []
-    run_forked = evaluate._run_leading_cases_forked
+    sizes = []
 
-    def spy(*args):
-        forked_calls.append(run_forked(*args))
-        return forked_calls[-1]
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
 
-    monkeypatch.setattr(evaluate, "_run_leading_cases_forked", spy)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
     monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 3)
-    forked = compare_methods(cases, methods)
+    pooled = compare_methods(cases, methods)
     monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 1)
     serial = compare_methods(cases, methods)
 
-    assert [len(done) for done in forked_calls] == [len(cases)]
-    assert len(forked.reports) == len(serial.reports) == len(cases) * len(methods)
-    for a, b in zip(forked.reports, serial.reports):
+    assert sizes == [3, 1]
+    assert len(pooled.reports) == len(serial.reports) == len(cases) * len(methods)
+    for a, b in zip(pooled.reports, serial.reports):
         assert (a.case_id, a.method) == (b.case_id, b.method)
         assert np.array_equal(a.transform.matrix, b.transform.matrix)
         assert not a.transform.matrix.flags.writeable
         assert (a.fit_tre, a.holdout_tre) == (b.fit_tre, b.holdout_tre)
-    assert forked.ttests == serial.ttests
-    assert forked.to_csv() == serial.to_csv()
-    assert forked.to_text() == serial.to_text()
+    assert pooled.ttests == serial.ttests
+    assert pooled.to_csv() == serial.to_csv()
+    assert pooled.to_text() == serial.to_text()
 
 
 def test_compare_requires_cases():

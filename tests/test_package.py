@@ -9,6 +9,7 @@ import subprocess
 import sys
 
 import landreg
+import landreg.cli
 from landreg import PointSet, write_points
 from landreg.refine import LOSS_EPSILON
 
@@ -42,6 +43,16 @@ def kernel_files(cache):
     return sorted(name for name in os.listdir(cache) if name.startswith("_refine.")) if cache.exists() else []
 
 
+def slow_compiler(tmp_path, env):
+    """Put a ``cc`` first on ``env``'s PATH that logs each build and sleeps 0.5 s; return the log."""
+    slow, log = tmp_path / "bin", tmp_path / "builds.log"
+    slow.mkdir()
+    (slow / "cc").write_text(f'#!/bin/sh\necho build >> "{log}"\nsleep 0.5\nexec "{shutil.which("cc")}" "$@"\n')
+    (slow / "cc").chmod(0o755)
+    env["PATH"] = os.pathsep.join([str(slow), env["PATH"]])
+    return log
+
+
 def test_importing_the_cli_loads_no_process_pool_or_scipy(tmp_path):
     # nor the modules only a kernel build needs, and it builds no kernel
     cache, env = package_copy(tmp_path)
@@ -60,11 +71,7 @@ def test_importing_the_cli_loads_no_process_pool_or_scipy(tmp_path):
 def test_processes_building_at_once_leave_one_library(tmp_path):
     cache, env = package_copy(tmp_path)
     # a compiler slow enough that both processes find the cache empty and build
-    slow, log = tmp_path / "bin", tmp_path / "builds.log"
-    slow.mkdir()
-    (slow / "cc").write_text(f'#!/bin/sh\necho build >> "{log}"\nsleep 0.5\nexec "{shutil.which("cc")}" "$@"\n')
-    (slow / "cc").chmod(0o755)
-    env["PATH"] = os.pathsep.join([str(slow), env["PATH"]])
+    log = slow_compiler(tmp_path, env)
     probe = (
         "from landreg.core import AffineParams9, PointSet; from landreg.refine import loss; "
         "print(loss(AffineParams9.identity(), PointSet([[0.0, 0.0, 0.0]]), PointSet([[3.0, 4.0, 0.0]])))"
@@ -78,6 +85,48 @@ def test_processes_building_at_once_leave_one_library(tmp_path):
     assert log.read_text().splitlines() == ["build", "build"]
     library = kernel_files(cache)
     assert len(library) == 1 and library[0].endswith(".so"), library
+
+
+def test_threads_building_at_once_leave_one_library(tmp_path):
+    cache, env = package_copy(tmp_path)
+    # a compiler slow enough that both threads find the cache empty
+    log = slow_compiler(tmp_path, env)
+    probe = (
+        "import threading\n"
+        "from landreg.core import AffineParams9, PointSet\n"
+        "from landreg.refine import RefineConfig, refine\n"
+        "start, losses = threading.Barrier(2, timeout=30), []\n"
+        "def run():\n"
+        "    start.wait()\n"
+        "    result = refine(AffineParams9.identity(), PointSet([[0.0, 0.0, 0.0]]), PointSet([[3.0, 4.0, 0.0]]),\n"
+        "                    RefineConfig(iterations=10))\n"
+        "    losses.append(result.initial_loss)\n"
+        "threads = [threading.Thread(target=run) for _ in range(2)]\n"
+        "for thread in threads: thread.start()\n"
+        "for thread in threads: thread.join()\n"
+        "print(losses)\n"
+    )
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == f"{[math.sqrt(25.0 + LOSS_EPSILON)] * 2}\n"
+    assert log.read_text().splitlines() == ["build"]
+    library = kernel_files(cache)
+    assert len(library) == 1 and library[0].endswith(".so"), library
+
+
+def test_compare_loads_no_multiprocessing(tmp_path):
+    cases = tmp_path / "cases"
+    assert landreg.cli.main(["synth", str(cases), "--seed", "1", "--cases", "2"]) == 0
+    src = os.path.dirname(os.path.dirname(os.path.abspath(landreg.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = (
+        "import sys; from landreg.cli import main; code = main(['compare', sys.argv[1]]); "
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))"
+    )
+    run = subprocess.run([sys.executable, "-c", probe, str(cases)], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "0 []"
 
 
 def test_missing_compiler_is_one_error_line(tmp_path):
