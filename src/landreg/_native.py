@@ -1,0 +1,68 @@
+"""The package's C kernels, each built on first use and loaded through ctypes.
+
+Each kernel is one C file beside this module, compiled into its own shared
+library in the package's ``__pycache__``. The library's name carries the
+kernel's name and the CRC-32 of the compiler command and the source, so an
+edited source is built anew. Contraction into fused multiply-adds is off:
+both kernels reproduce numpy or scalar Python arithmetic, which rounds
+every operation on its own.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import os
+import threading
+import zlib
+
+_HERE = os.path.dirname(os.path.abspath(__file__))
+_CACHE = os.path.join(_HERE, "__pycache__")
+_COMPILE = ("cc", "-O2", "-ffp-contract=off", "-fPIC", "-shared")
+# a caller's functools.cache lets threads that miss at once all call load,
+# so this lock lets only one of them build a library
+_BUILD_LOCK = threading.Lock()
+
+
+def _build(source: str, library: str, title: str) -> None:
+    """Compile ``source`` in a temporary directory in the cache, then move it to ``library``.
+
+    Processes that build at once each compile their own file and move it
+    into place whole, so every one of them loads a complete library.
+    """
+    import shutil
+    import subprocess
+    import tempfile
+
+    os.makedirs(_CACHE, exist_ok=True)
+    name = os.path.basename(library)
+    scratch = tempfile.mkdtemp(prefix=name.split(".")[0] + ".", suffix=".tmp", dir=_CACHE)
+    partial = os.path.join(scratch, name)
+    try:
+        try:
+            done = subprocess.run([*_COMPILE, "-o", partial, source, "-lm"],
+                                  stdin=subprocess.DEVNULL, capture_output=True, text=True)
+        except FileNotFoundError as exc:
+            raise OSError(f"cannot build the {title}: no C compiler '{_COMPILE[0]}' found") from exc
+        if done.returncode != 0:
+            first = (done.stderr.strip().splitlines() or [""])[0]
+            raise OSError(f"cannot build the {title}: '{_COMPILE[0]}' exited with "
+                          f"status {done.returncode}: {first}")
+        os.replace(partial, library)
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+
+
+def load(name: str, title: str) -> ctypes.CDLL:
+    """The library built from ``<name>.c``, built first if the cache lacks this version.
+
+    ``title`` names the kernel in the ``OSError`` raised when it cannot be
+    built. Callers cache the result and declare its functions' types.
+    """
+    source = os.path.join(_HERE, name + ".c")
+    with open(source, "rb") as fh:
+        key = zlib.crc32(" ".join(_COMPILE).encode() + b"\0" + fh.read())
+    library = os.path.join(_CACHE, f"{name}.{key:08x}.so")
+    with _BUILD_LOCK:
+        if not os.path.exists(library):
+            _build(source, library, title)
+    return ctypes.CDLL(library)

@@ -1,23 +1,31 @@
 """Distance maps, label maps, and landmark extraction on voxel grids.
 
 The distance transform is the exact Euclidean one, as three separable minimum
-passes (Saito & Toriwaki 1994): per axis, the minimum over all sites of a
-line. A pass folds every row (a slice across all lines) that holds a site into
-the output with one add and one minimum per output value, so about 2k
-operations per voxel for k such rows: 6 for a 3-voxel seed mask, up to 2n on a
-dense mask with an axis of n voxels. On dense masks that beats a per-line
-lower-envelope scan up to about 1000 voxels per axis and loses from about
-2000. The output is filled one cache-sized block of rows at a time, so those
-operations run on data in L2 instead of sweeping three volume-sized arrays
-through the outer caches once per site row. Distances between voxel centers
-are in world units, so anisotropic spacing is honored. Label maps rescale a
-closed form of a landmark's distance into (0, 1] with
-``exp(-10 * M / max(M))``: the landmark voxel is exactly 1, the far corner
-``exp(-10)``. Recovery is the inverse: the argmax voxel center.
+passes (Saito & Toriwaki 1994): per axis, each voxel takes the minimum over
+all sites q of its line of ``g[q] + ((p - q) * step)^2``. A compiled kernel,
+``_edt.c``, runs each pass as the lower envelope of those candidates
+(Felzenszwalb & Huttenlocher 2012): per line it gathers the values, keeps
+the sites that can be a minimum, and writes one sum per voxel, so a pass
+costs a few operations per voxel whatever the number of sites, and a line
+without a site costs one read of it. The result is bit-identical to taking
+the minimum of every rounded candidate. Rounding is monotone, so that
+minimum is the rounding of the smallest exact sum. Two sites' exact
+candidates differ by an amount that falls by at least ``2 * step^2`` per
+voxel, more than the rounding of the squared distances can undo on an axis
+of up to 2^25 voxels, so once a later site beats an earlier one it does so
+to the end of the line. The kernel finds where from the parabola formula,
+to within one voxel, and settles that voxel by comparing the two exact
+sums. Distances between voxel centers are in world units, so anisotropic
+spacing is honored. Label maps rescale a closed form of a landmark's
+distance into (0, 1] with ``exp(-10 * M / max(M))``: the landmark voxel is
+exactly 1, the far corner ``exp(-10)``. Recovery is the inverse: the argmax
+voxel center.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -34,7 +42,9 @@ from .errors import (
 )
 
 LABEL_DECAY = 10.0  # exponent factor in the label map
-_BLOCK_VALUES = 32_768  # floats per block of output rows in a minimum pass (256 KB)
+# the longest axis on which the rounding of the squared distances cannot
+# reorder two sites' candidates, so the minimum passes stay exact (_edt.c)
+_MAX_EDT_AXIS = 2**25
 
 
 @dataclass(frozen=True)
@@ -75,66 +85,62 @@ def _check_spacing(volume: Volume3) -> None:
         )
 
 
-def _min_pass(f: np.ndarray, step: float, axis: int) -> np.ndarray:
-    """``out[p] = min_q ((p - q) * step)^2 + f[q]`` along ``axis``, all lines at once.
+def _check_axes(volume: Volume3) -> None:
+    """Raise unless every axis is short enough for the exact minimum passes."""
+    if max(volume.dims) > _MAX_EDT_AXIS:
+        raise DegenerateConfigurationError(
+            f"grid {'x'.join(map(str, volume.dims))} has an axis longer than the "
+            f"{_MAX_EDT_AXIS} voxels on which the distance transform is exact"
+        )
 
-    ``f`` holds squared distances at sites q * step, +inf where no site is,
-    and at least one site. The volume is copied once with the pass axis
-    first, so row q (the slice across all lines) is one contiguous run
-    ``g[q]``; a row that is +inf on every line adds only +inf and is
-    skipped. The output is filled one block of whole rows ``out[p0:p1]`` at
-    a time. The block starts as the first site row's candidates
-    ``g[q] + dd[p0:p1, q]``, with ``dd[p, q] = ((p - q) * step)^2`` from one
-    n x n table, and every later site row folds in with one add into a
-    block-sized scratch and one minimum. The minimum of non-NaN values does
-    not depend on order, and starting from a candidate equals folding it
-    into +inf, so the result is exactly the minimum over all q.
 
-    Cost: k site rows and a volume of N values make about 2k ufunc calls
-    per block and 2kN value operations in all, whatever the block size. A
-    block (``_BLOCK_VALUES`` floats, or one row if a row is longer) and its
-    scratch stay in L2 while ``g[q]`` streams past; one block the size of
-    the volume sweeps three volume-sized arrays per call instead, and small
-    blocks pay more calls. The EDT of a 64x64x48 ellipsoid shell took 21.0,
-    16.7, 12.9, 11.7 and 11.4 ms with blocks of 4 096, 8 192, 16 384,
-    32 768 and 65 536 values and 20.1 ms with one block; a 3-voxel seed mask
-    took 3.6-4.2 ms and 4.5 ms (best of 5x5 calls, 2 cores with 2 MiB of L2
-    each, Python 3.11.7, numpy 2.4.6).
+@functools.cache
+def _kernel() -> ctypes.CDLL:
+    """The compiled minimum pass, built on the first call if the cache lacks this version."""
+    from ._native import load  # here, so importing the package loads no build code
+
+    lib = load("_edt", "distance transform kernel")
+    address, count = ctypes.c_void_p, ctypes.c_int64
+    lib.landreg_edt_pass.argtypes = (address, count, count, count, ctypes.c_int, ctypes.c_double)
+    lib.landreg_edt_pass.restype = ctypes.c_int
+    return lib
+
+
+def _envelope_pass(f: np.ndarray, step: float, axis: int) -> None:
+    """In place, ``f[p] = min_q f[q] + ((p - q) * step)^2`` along ``axis`` of every line.
+
+    ``f`` is a C-contiguous float64 (nz, ny, nx) array of squared distances
+    at sites q * step and +inf where no site is. Every finite candidate must
+    stay finite, and no axis may be longer than ``_MAX_EDT_AXIS``; the
+    checks of :func:`distance_transform` see to both.
     """
-    moved = np.ascontiguousarray(np.moveaxis(f, axis, 0))
-    g = moved.reshape(moved.shape[0], -1)  # row q is g[q], contiguous
-    n, row = g.shape
-    out = np.empty_like(g)
-    first, *rest = np.flatnonzero(~np.isinf(g).all(axis=1)).tolist()
-    p = np.arange(n)
-    d = (p[:, None] - p) * step
-    dd = d * d
-    per_block = max(1, _BLOCK_VALUES // row)
-    tmp = np.empty((min(per_block, n), row))
-    for p0 in range(0, n, per_block):
-        p1 = min(p0 + per_block, n)
-        block, scratch = out[p0:p1], tmp[: p1 - p0]
-        np.add(g[first], dd[p0:p1, first : first + 1], out=block)
-        for q in rest:
-            np.add(g[q], dd[p0:p1, q : q + 1], out=scratch)
-            np.minimum(block, scratch, out=block)
-    return np.moveaxis(out.reshape(moved.shape), 0, axis)
+    if f.dtype != np.float64 or f.ndim != 3 or not (f.flags.c_contiguous and f.flags.writeable):
+        raise ValueError("a pass works in place on a writable C-contiguous float64 (nz, ny, nx) array")
+    nz, ny, nx = f.shape
+    if _kernel().landreg_edt_pass(f.ctypes.data, nz, ny, nx, axis, step):
+        raise MemoryError(f"cannot allocate the scratch of a distance transform pass "
+                          f"over lines of {f.shape[axis]} voxels")
 
 
 def distance_transform(mask: BinaryMask) -> Volume3:
     """Exact Euclidean distance (mm) from every voxel to the nearest feature.
 
     Returns a volume on the mask's grid. Runs three separable minimum
-    passes over squared distances (x, then y, then z), each costing two
-    operations per voxel per row that holds a site, and takes one square
-    root at the end, so the result matches a brute-force nearest-feature
-    scan to floating-point accuracy.
+    passes over squared distances (x, then y, then z), each a lower envelope
+    per line in the compiled kernel, and takes one square root at the end.
+    Each pass is bit-identical to the minimum over every candidate of a
+    line, so the result matches a brute-force nearest-feature scan to
+    floating-point accuracy.
 
-    Raises :class:`NoFeatureError` if the mask has no feature voxel and
-    :class:`DegenerateConfigurationError` if the squared distances of the
-    voxel spacing overflow or underflow the float range.
+    Raises :class:`NoFeatureError` if the mask has no feature voxel,
+    :class:`DegenerateConfigurationError` if an axis is longer than 2^25
+    voxels or the squared distances of the voxel spacing overflow or
+    underflow the float range, ``MemoryError`` if a pass cannot allocate
+    its scratch, and ``OSError`` if the kernel is not built yet and cannot
+    be.
     """
     vol = mask.volume
+    _check_axes(vol)
     feature = vol.data3d() > 0.5
     if not feature.any():
         raise NoFeatureError("mask contains no feature voxels")
@@ -142,7 +148,7 @@ def distance_transform(mask: BinaryMask) -> Volume3:
     sx, sy, sz = vol.spacing
     d2 = np.where(feature, 0.0, np.inf)
     for step, axis in ((sx, 2), (sy, 1), (sz, 0)):  # (nz, ny, nx) layout: x first
-        d2 = _min_pass(d2, step, axis)
+        _envelope_pass(d2, step, axis)
     return vol.with_data(np.sqrt(d2))
 
 

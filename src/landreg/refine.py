@@ -10,18 +10,15 @@ improve its starting point.
 
 The loss, its gradient and the Adam loop run in one C kernel,
 ``_refine.c``, built with the system C compiler on the first call and
-cached beside this module. It reproduces the scalar float arithmetic of
-a plain Python loop operation for operation, so its results are
-bit-identical to that loop's.
+cached beside this module (``_native`` builds and loads it). It reproduces
+the scalar float arithmetic of a plain Python loop operation for
+operation, so its results are bit-identical to that loop's.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
-import os
-import threading
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,61 +81,17 @@ def _pairs(moving: PointSet, fixed: PointSet) -> np.ndarray:
     return np.hstack((moving.coords, fixed.coords))
 
 
-# The kernel is one C file, compiled on first use into the package's
-# __pycache__ and loaded through ctypes. The library's name carries the
-# CRC-32 of the compiler command and the source, so an edited source is
-# built anew. Contraction into fused multiply-adds is off: it would round
-# differently from the scalar arithmetic the kernel reproduces.
-_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_refine.c")
-_CACHE = os.path.join(os.path.dirname(_SOURCE), "__pycache__")
-_COMPILE = ("cc", "-O2", "-ffp-contract=off", "-fPIC", "-shared")
-# functools.cache lets threads that miss at once all run the call, so this
-# lock lets only one of them build the library
-_BUILD_LOCK = threading.Lock()
-
 # landreg_refine's status codes, as _refine.c defines them
 _NONFINITE_LOSS = 1
 _NONFINITE_ANGLE = 2
 
 
-def _build(library: str) -> None:
-    """Compile the kernel in a temporary directory in the cache, then move it to ``library``.
-
-    Processes that build at once each compile their own file and move it
-    into place whole, so every one of them loads a complete library.
-    """
-    import shutil
-    import subprocess
-    import tempfile
-
-    os.makedirs(_CACHE, exist_ok=True)
-    scratch = tempfile.mkdtemp(prefix="_refine.", suffix=".tmp", dir=_CACHE)
-    partial = os.path.join(scratch, os.path.basename(library))
-    try:
-        try:
-            done = subprocess.run([*_COMPILE, "-o", partial, _SOURCE, "-lm"],
-                                  stdin=subprocess.DEVNULL, capture_output=True, text=True)
-        except FileNotFoundError as exc:
-            raise OSError(f"cannot build the refinement kernel: no C compiler '{_COMPILE[0]}' found") from exc
-        if done.returncode != 0:
-            first = (done.stderr.strip().splitlines() or [""])[0]
-            raise OSError(f"cannot build the refinement kernel: '{_COMPILE[0]}' exited with "
-                          f"status {done.returncode}: {first}")
-        os.replace(partial, library)
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
-
-
 @functools.cache
 def _kernel() -> ctypes.CDLL:
     """The compiled kernel, built on the first call if the cache lacks this version."""
-    with open(_SOURCE, "rb") as fh:
-        key = zlib.crc32(" ".join(_COMPILE).encode() + b"\0" + fh.read())
-    library = os.path.join(_CACHE, f"_refine.{key:08x}.so")
-    with _BUILD_LOCK:
-        if not os.path.exists(library):
-            _build(library)
-    lib = ctypes.CDLL(library)
+    from ._native import load  # here, so importing the package loads no build code
+
+    lib = load("_refine", "refinement kernel")
     # Arrays go in as bare addresses: each is a C-contiguous float64 (or
     # int64) array of the kernel's sizes, made by the caller just before
     # the call and held in a local until it returns.

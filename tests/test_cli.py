@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import landreg
-from landreg import evaluate
+from landreg import evaluate, landmarks
 from landreg.cli import build_parser, main
 from landreg.core import AffineMatrix, Point3, PointSet, Volume3, compose
 from landreg.fileio import read_points, read_transform, read_volume, write_points, write_transform, write_volume
@@ -75,6 +75,22 @@ def test_edt_empty_mask(tmp_path):
     mask = tmp_path / "mask.json"
     write_mask(mask, (2, 2, 2), (1, 1, 1), [])
     assert main(["edt", str(mask), str(tmp_path / "out.json")]) == 3
+
+
+def test_edt_whose_pass_cannot_allocate_is_one_error_line(tmp_path, capsys, monkeypatch):
+    class NoScratch:
+        @staticmethod
+        def landreg_edt_pass(*args):
+            return 1  # the kernel's status when its scratch cannot be allocated
+
+    monkeypatch.setattr(landmarks, "_kernel", lambda: NoScratch)
+    mask, out = tmp_path / "mask.json", tmp_path / "dist.json"
+    write_mask(mask, (3, 2, 1), (1, 1, 1), [0])
+    assert main(["edt", str(mask), str(out)]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot allocate the scratch of a distance transform pass over lines of 3 voxels\n"
+    assert sorted(os.listdir(tmp_path)) == ["mask.json", "mask.raw"]
 
 
 def test_make_label_two_voxel_example(tmp_path):

@@ -1,6 +1,11 @@
 """Distance transforms, label maps, and landmark extraction."""
 
 import math
+import os
+import subprocess
+import sys
+import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from landreg import landmarks
 from landreg.core import Point3, Volume3
 from landreg.errors import (
+    DegenerateConfigurationError,
     DegenerateGeometryError,
     InvalidDataError,
     InvalidParameterError,
@@ -112,7 +118,7 @@ def test_edt_matches_scipy(density):
 
 
 def position_loop_pass(f: np.ndarray, step: float, axis: int) -> np.ndarray:
-    """The minimum pass that the row loop replaced, frozen as the bit-identity oracle.
+    """A minimum pass as numpy takes it, frozen as the bit-identity oracle.
 
     For each output position p it forms every candidate ``f[q] + ((p - q) * step)^2``
     of every line at once and takes the minimum over q.
@@ -165,36 +171,137 @@ def kind_mask(dims, kind: str, seed: int) -> np.ndarray:
     spacing=st.tuples(*[st.floats(0.3, 4.0)] * 3),
     kind=st.sampled_from(MASK_KINDS),
     seed=st.integers(0, 2**32 - 1),
-    block=st.integers(1, 150),
 )
-@example(dims=(1, 7, 1), spacing=(0.8, 1.3, 2.5), kind="three seeds", seed=1, block=1)
-@example(dims=(9, 1, 5), spacing=(0.8, 1.3, 2.5), kind="full line", seed=2, block=20)
-@example(dims=(7, 5, 11), spacing=(0.8, 1.3, 2.5), kind="30 %", seed=3, block=150)
-@example(dims=(40, 33, 21), spacing=(0.8, 1.3, 2.5), kind="three seeds", seed=404, block=3000)
-def test_edt_is_bit_identical_to_position_loop(dims, spacing, kind, seed, block):
-    """Blocks of output rows and skipped rows without a site may not change a bit.
+@example(dims=(1, 7, 1), spacing=(0.8, 1.3, 2.5), kind="three seeds", seed=1)
+@example(dims=(9, 1, 5), spacing=(0.8, 1.3, 2.5), kind="full line", seed=2)
+@example(dims=(7, 5, 11), spacing=(0.8, 1.3, 2.5), kind="30 %", seed=3)
+@example(dims=(40, 33, 21), spacing=(0.8, 1.3, 2.5), kind="three seeds", seed=404)
+@example(dims=(6, 6, 6), spacing=(1.1, 1.1, 1.1), kind="three seeds", seed=2)
+def test_edt_is_bit_identical_to_position_loop(dims, spacing, kind, seed):
+    """The compiled envelope passes may not change a bit of the minimum over every candidate.
 
-    Each mask runs at the real block size, where these grids fit one block,
-    and again with ``block`` values to a block, so that passes span several
-    blocks and may end on a short one: at 150 the 7x5x11 example's passes
-    have blocks of 2, 1 and 4 rows over 7, 5 and 11 rows. The 40x33x21
-    example has sites in 3 of 33 rows of its y pass.
+    The 40x33x21 example has sites in 3 of 33 rows of its y pass, so most
+    lines of that pass have no site at all. On the isotropic 6x6x6 grid two
+    sites' parabolas cross exactly on a voxel, where only the exact
+    comparison picks the smaller candidate: the parabola formula alone gets
+    it wrong.
     """
     vol = Volume3(dims=dims, spacing=spacing, data=kind_mask(dims, kind, seed).reshape(-1))
-    want = position_loop_edt(vol)
-    assert np.array_equal(distance_transform(BinaryMask(vol)).data3d(), want)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(landmarks, "_BLOCK_VALUES", block)
-        assert np.array_equal(distance_transform(BinaryMask(vol)).data3d(), want)
+    assert np.array_equal(distance_transform(BinaryMask(vol)).data3d(), position_loop_edt(vol))
 
 
-def test_edt_spanning_several_blocks_is_bit_identical_to_position_loop():
-    """The benchmark's large grid at the real block size: every pass spans several blocks."""
+def test_edt_of_the_benchmark_grid_is_bit_identical_to_position_loop():
+    """The benchmark's large grid: its y and z passes gather lines a panel at a time."""
     dims, spacing = (64, 64, 48), (0.8, 0.8, 2.5)
-    assert landmarks._BLOCK_VALUES < 64 * 64 * 48  # a pass fits one block only if it fits the volume
     vol = Volume3(dims=dims, spacing=spacing, data=kind_mask(dims, "30 %", 64).reshape(-1))
     got = distance_transform(BinaryMask(vol)).data3d()
     assert np.array_equal(got, position_loop_edt(vol))
+
+
+@st.composite
+def pass_inputs(draw):
+    """A pass input ``(f, step, axis)``: +inf, values up to 1e12, and values a few ulps above a base of 1e6 to 1e12."""
+    shape = draw(st.tuples(*[st.integers(1, 6)] * 3))
+    base = draw(st.floats(1e6, 1e12))
+    near = st.integers(0, 8).map(lambda k: base + k * float(np.spacing(base)))
+    values = st.one_of(st.just(math.inf), st.floats(0.0, 1e12), near)
+    f = np.array(draw(st.lists(values, min_size=math.prod(shape), max_size=math.prod(shape)))).reshape(shape)
+    return f, draw(st.floats(1e-3, 1e3)), draw(st.integers(0, 2))
+
+
+def ulps_above(base: float, ks) -> list[float]:
+    """``base`` plus k of its ulps for each k, and +inf for None."""
+    return [math.inf if k is None else base + k * float(np.spacing(base)) for k in ks]
+
+
+@settings(max_examples=500)
+@given(case=pass_inputs())
+# An envelope that pops a site where the new site's rounded candidate is
+# no larger (<=) or smaller (<) than its own at the start of its part, and
+# steps each crossing by the same rounded comparison, gets the first line
+# (also gathered along z) and the third wrong. Near 1e11 one ulp is 1.5e-5
+# and the squared distances of a few voxels of 1e-3 are smaller, so
+# different candidates round to the same sum.
+@example(case=(np.array(ulps_above(1e11, [2, None, 4, 0, 0])).reshape(1, 1, 5), 1e-3, 2))
+@example(case=(np.array(ulps_above(1e11, [2, None, 4, 0, 0])).reshape(5, 1, 1), 1e-3, 0))
+@example(case=(np.array(ulps_above(1e11, [3, 3, 2, 1, 0])).reshape(1, 1, 5), 1e-3, 2))
+# the parabolas of sites 1 and 2 cross exactly on voxel 1, where site 1's
+# 0.64 is below 0.8**2 = 0.6400000000000001: the formula alone picks site 2
+@example(case=(np.array([[[math.inf, 0.64, 0.0]]]), 0.8, 2))
+@example(case=(np.array([[[7.0, math.inf]]]), 1e3, 2))  # an axis of two voxels
+@example(case=(np.array([[[math.inf]], [[3.0]]]), 1e-3, 1))  # an axis of one voxel
+def test_envelope_pass_is_bit_identical_to_position_loop(case):
+    f, step, axis = case
+    got = f.copy()  # C-contiguous float64, as pass_inputs makes f
+    landmarks._envelope_pass(got, step, axis)
+    assert np.array_equal(got, position_loop_pass(f, step, axis))
+
+
+@pytest.mark.parametrize("f", [np.zeros((2, 3, 4), np.float32), np.zeros((4, 3, 2)).T, np.zeros((3, 4)),
+                               np.broadcast_to(np.zeros(1), (2, 3, 4))], ids=["float32", "strided", "2d", "read-only"])
+def test_envelope_pass_refuses_an_array_it_cannot_work_on_in_place(f):
+    with pytest.raises(ValueError, match="writable C-contiguous float64"):
+        landmarks._envelope_pass(f, 1.0, 2)
+
+
+def test_edt_refuses_an_axis_too_long_to_stay_exact():
+    # only the grid's shape is read before the check, so no such grid is made
+    long_axis = SimpleNamespace(volume=SimpleNamespace(dims=(1, landmarks._MAX_EDT_AXIS + 1, 1), spacing=(1, 1, 1)))
+    with pytest.raises(DegenerateConfigurationError, match=r"^grid 1x33554433x1 has an axis longer than the "
+                       r"33554432 voxels on which the distance transform is exact$"):
+        distance_transform(long_axis)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads the address space size from /proc")
+def test_a_pass_that_cannot_allocate_its_scratch_raises_memory_error():
+    # a child caps its own address space 16 MiB above what it has mapped, so
+    # the scratch of a pass along a line of 2^20 voxels (40 MiB) cannot fit
+    probe = (
+        "import resource, numpy as np\n"
+        "from landreg import landmarks\n"
+        "landmarks._kernel()\n"
+        "f = np.zeros((1, 1, 2**20))\n"
+        "with open('/proc/self/statm') as fh:\n"
+        "    mapped = int(fh.read().split()[0]) * resource.getpagesize()\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (mapped + 2**24, resource.RLIM_INFINITY))\n"
+        "try:\n"
+        "    landmarks._envelope_pass(f, 1.0, 2)\n"
+        "except MemoryError as exc:\n"
+        "    print(exc, not f.any())\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(landmarks.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == "cannot allocate the scratch of a distance transform pass over lines of 1048576 voxels True\n"
+
+
+def test_threads_running_the_edt_at_once_match_the_serial_result():
+    # more threads than cores, switching often: the kernel releases the
+    # interpreter lock and keeps no state, so no thread sees another's lines
+    dims = (64, 64, 48)
+    template = Volume3(dims=dims, spacing=(0.8, 0.8, 2.5))
+    masks = [BinaryMask(template.with_data(kind_mask(dims, kind, 9))) for kind in MASK_KINDS]
+    serial = [distance_transform(mask).data for mask in masks]
+    start, results = threading.Barrier(len(masks), timeout=30), [None] * len(masks)
+
+    def run(i):
+        start.wait()
+        for _ in range(5):
+            results[i] = distance_transform(masks[i]).data
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(masks))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(np.array_equal(got, want) for got, want in zip(results, serial))
 
 
 def test_make_label_is_edt_of_its_voxel():

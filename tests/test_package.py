@@ -4,13 +4,16 @@ import contextlib
 import io
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
 
+import numpy as np
+
 import landreg
 import landreg.cli
-from landreg import PointSet, write_points
+from landreg import PointSet, Volume3, write_points, write_volume
 from landreg.refine import LOSS_EPSILON
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
@@ -40,7 +43,8 @@ def package_copy(tmp_path):
 
 
 def kernel_files(cache):
-    return sorted(name for name in os.listdir(cache) if name.startswith("_refine.")) if cache.exists() else []
+    """Every kernel library in the cache, and any build directory left behind: all but the bytecode."""
+    return sorted(name for name in os.listdir(cache) if not name.endswith(".pyc")) if cache.exists() else []
 
 
 def slow_compiler(tmp_path, env):
@@ -54,11 +58,11 @@ def slow_compiler(tmp_path, env):
 
 
 def test_importing_the_cli_loads_no_process_pool_or_scipy(tmp_path):
-    # nor the modules only a kernel build needs, and it builds no kernel
+    # nor the kernel loader or the modules only a kernel build needs, and it builds no kernel
     cache, env = package_copy(tmp_path)
     probe = (
         "import sys, landreg.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "print(sorted(m for m in sys.modules if m == 'landreg._native' or m.split('.')[0] in "
         "('multiprocessing', 'concurrent', 'scipy', 'hashlib', 'subprocess')))"
     )
     loaded = subprocess.run(
@@ -129,18 +133,54 @@ def test_compare_loads_no_multiprocessing(tmp_path):
     assert run.stdout.splitlines()[-1] == "0 []"
 
 
-def test_missing_compiler_is_one_error_line(tmp_path):
-    cache, env = package_copy(tmp_path)
-    env["PATH"] = str(tmp_path / "nothing")
+def write_inputs(tmp_path):
+    """A registration pair and a 4x3x2 mask with one feature voxel, in ``tmp_path``."""
     names = ("a", "b", "c", "d")
     tetra = [[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [0.0, 10.0, 0.0], [0.0, 0.0, 10.0]]
     write_points(PointSet(tetra, names), str(tmp_path / "moving.csv"))
     write_points(PointSet([[2 * x + 1 for x in row] for row in tetra], names), str(tmp_path / "fixed.csv"))
-    run = subprocess.run(
-        [sys.executable, "-m", "landreg.cli", "register", "moving.csv", "fixed.csv", "out.json", "--refine"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
-    )
+    write_volume(Volume3(dims=(4, 3, 2), spacing=(1, 1, 2), data=np.eye(1, 24, 5).ravel()), str(tmp_path / "mask.json"))
+
+
+REGISTER = ["register", "moving.csv", "fixed.csv", "out.json", "--refine"]
+EDT = ["edt", "mask.json", "dist.json"]
+
+
+def run_cli(tmp_path, env, argv):
+    return subprocess.run([sys.executable, "-m", "landreg.cli", *argv],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_missing_compiler_is_one_error_line(tmp_path):
+    cache, env = package_copy(tmp_path)
+    env["PATH"] = str(tmp_path / "nothing")
+    write_inputs(tmp_path)
+    run = run_cli(tmp_path, env, REGISTER)
     assert (run.returncode, run.stdout) == (2, "")
     assert run.stderr == "error: cannot build the refinement kernel: no C compiler 'cc' found\n"
     assert kernel_files(cache) == []
     assert not (tmp_path / "out.json").exists()
+
+
+def test_missing_compiler_for_the_edt_is_one_error_line(tmp_path):
+    cache, env = package_copy(tmp_path)
+    env["PATH"] = str(tmp_path / "nothing")
+    write_inputs(tmp_path)
+    run = run_cli(tmp_path, env, EDT)
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr == "error: cannot build the distance transform kernel: no C compiler 'cc' found\n"
+    assert kernel_files(cache) == []
+    assert not (tmp_path / "dist.json").exists() and not (tmp_path / "dist.raw").exists()
+
+
+def test_each_command_builds_only_its_own_kernel(tmp_path):
+    cache, env = package_copy(tmp_path)
+    write_inputs(tmp_path)
+    run = run_cli(tmp_path, env, REGISTER)
+    assert run.returncode == 0, run.stderr
+    (refine,) = kernel_files(cache)
+    run = run_cli(tmp_path, env, EDT)
+    assert run.returncode == 0, run.stderr
+    both = kernel_files(cache)
+    (edt,) = set(both) - {refine}
+    assert len(both) == 2 and re.fullmatch(r"_refine\.[0-9a-f]{8}\.so", refine) and re.fullmatch(r"_edt\.[0-9a-f]{8}\.so", edt)
