@@ -15,6 +15,7 @@ Conventions, fixed once and relied on everywhere:
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -236,6 +237,19 @@ class Volume3:
     def with_data(self, data) -> "Volume3":
         """A volume with the same geometry and new voxel values."""
         return Volume3(self.dims, self.spacing, self.origin, np.asarray(data).reshape(-1))
+
+    def _with_built_data(self, data: np.ndarray) -> "Volume3":
+        """A volume with the same geometry that takes ``data`` without a copy.
+
+        For a C-contiguous float64 array of ``n_voxels`` values that the
+        library has just built and holds no other reference to: the array is
+        marked read-only and becomes the volume's data. :meth:`with_data`
+        copies instead, since a caller's array may change afterwards.
+        """
+        data.flags.writeable = False
+        volume = copy.copy(self)  # the checked geometry, without __post_init__ and its copy
+        object.__setattr__(volume, "data", data.reshape(-1))
+        return volume
 
 
 @dataclass(frozen=True)

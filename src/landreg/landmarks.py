@@ -149,7 +149,7 @@ def distance_transform(mask: BinaryMask) -> Volume3:
     d2 = np.where(feature, 0.0, np.inf)
     for step, axis in ((sx, 2), (sy, 1), (sz, 0)):  # (nz, ny, nx) layout: x first
         _envelope_pass(d2, step, axis)
-    return vol.with_data(np.sqrt(d2))
+    return vol._with_built_data(np.sqrt(d2, out=d2))
 
 
 def make_label(landmark: Point3, template: Volume3) -> Volume3:
@@ -185,7 +185,9 @@ def make_label(landmark: Point3, template: Volume3) -> Volume3:
     z, y, x = np.ogrid[:nz, :ny, :nx]
     sx, sy, sz = template.spacing
     dx, dy, dz = (x - ix) * sx, (y - iy) * sy, (z - iz) * sz
-    dist = np.sqrt(dz * dz + (dy * dy + dx * dx))
+    # the one full-volume array: every step below works on it in place
+    dist = dz * dz + (dy * dy + dx * dx)
+    np.sqrt(dist, out=dist)
     peak = dist.max()
     if peak == 0.0:
         raise DegenerateGeometryError(
@@ -193,7 +195,9 @@ def make_label(landmark: Point3, template: Volume3) -> Volume3:
         )
     # ratio first: dist/peak is exactly 1 at the farthest voxel, so the
     # exponent never rounds below -LABEL_DECAY
-    return template.with_data(np.exp(-LABEL_DECAY * (dist / peak)))
+    dist /= peak
+    dist *= -LABEL_DECAY
+    return template._with_built_data(np.exp(dist, out=dist))
 
 
 def recover_landmark(heatmap: Volume3) -> Point3:
@@ -204,9 +208,9 @@ def recover_landmark(heatmap: Volume3) -> Point3:
     the landmark was snapped to.
     """
     data = heatmap.data
-    if np.any(np.isnan(data)):
+    idx = int(np.argmax(data))  # the first NaN, if there is one
+    if math.isnan(data[idx]):
         raise InvalidDataError("heatmap contains NaN values")
-    idx = int(np.argmax(data))
     return heatmap.voxel_center(*heatmap.voxel_of_index(idx))
 
 
@@ -219,7 +223,7 @@ def extract_extremes(mask: BinaryMask, axis: int = 0) -> tuple[Point3, Point3]:
     """
     axis = require_integer(axis, "axis", 0, 2)
     vol = mask.volume
-    flat = np.flatnonzero(vol.data)
+    flat = np.flatnonzero(vol.data != 0.0)  # on a bool array: about 4x faster than on float64
     if flat.size == 0:
         raise NoFeatureError("mask contains no feature voxels")
     along = vol.voxel_of_index(flat)[axis]

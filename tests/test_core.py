@@ -163,6 +163,15 @@ def test_volume_with_data_keeps_geometry():
     assert np.all(new.data == 1.0)
 
 
+def test_volume_with_data_copies_the_callers_array():
+    vol = Volume3(dims=(2, 2, 1), spacing=(1, 2, 3))
+    arr = np.arange(4.0).reshape(1, 2, 2)
+    new = vol.with_data(arr)
+    arr[0, 0, 0] = 9.0
+    assert not np.shares_memory(new.data, arr)
+    assert np.array_equal(new.data, [0.0, 1.0, 2.0, 3.0])
+
+
 def test_params_validation():
     with pytest.raises(InvalidParameterError):
         AffineParams9((0, 0, 0), (0, 0, 0), (1, 0, 1))

@@ -1,10 +1,12 @@
 """Distance transforms, label maps, and landmark extraction."""
 
+import functools
 import math
 import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -65,6 +67,48 @@ def test_volume_functions_return_plain_volumes():
     assert type(distance_transform(mask)) is Volume3
     assert type(make_label(Point3(0, 0, 0), mask.volume)) is Volume3
     assert not hasattr(landmarks, "DistanceMap") and not hasattr(landmarks, "LabelMap")
+
+
+def test_built_volumes_own_read_only_data():
+    template = Volume3(dims=(4, 3, 2), spacing=(1.0, 1.0, 2.0))
+    mask = BinaryMask(template.with_data(np.eye(1, 24, 5).ravel()))
+    for vol in (distance_transform(mask), make_label(Point3(1.0, 1.0, 0.0), template)):
+        assert not vol.data.flags.writeable
+        with pytest.raises(ValueError):
+            vol.data[0] = 1.0
+        with pytest.raises(ValueError):
+            vol.data3d()[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):  # no writable array behind the view either
+            vol.data.flags.writeable = True
+
+
+def shell_mask(template: Volume3) -> BinaryMask:
+    """The six faces of ``template``'s grid as features."""
+    shell = np.ones(template.dims[::-1])
+    shell[1:-1, 1:-1, 1:-1] = 0.0
+    return BinaryMask(template.with_data(shell))
+
+
+@pytest.mark.parametrize("build", ["make_label", "distance_transform"])
+def test_a_volume_is_built_in_one_full_volume_array(build):
+    """Traced peak of one call at the benchmark's large grid: its result, one float64 volume.
+
+    The distance transform adds the mask's bool features (1/8 volume); its
+    kernel's per-line scratch comes from C and is not traced.
+    """
+    template = Volume3(dims=(64, 64, 48), spacing=(0.8, 0.8, 2.5))
+    if build == "make_label":
+        call = functools.partial(make_label, Point3(20.0, 30.0, 40.0), template)
+    else:
+        call = functools.partial(distance_transform, shell_mask(template))
+    call()  # a first distance transform builds the kernel: not part of a call's peak
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * template.n_voxels
 
 
 def test_all_ones_mask_maps_to_zero():
@@ -350,6 +394,34 @@ def test_edt_ignores_origin():
     )
 
 
+# dims (5, 4, 3): the largest squared distance is 29 s^2 at spacing s, and the
+# smallest s^2; each spacing below lies within 0.1 % of a limit of _check_spacing
+NEAR_OVERFLOW = math.sqrt(sys.float_info.max / 29) * 0.999
+NEAR_UNDERFLOW = math.sqrt(sys.float_info.min) * 1.001
+
+
+@pytest.mark.parametrize("voxel", [(0, 0, 0), (2, 2, 1), (4, 3, 2), (4, 0, 1)],
+                         ids=["corner", "centre", "far corner", "edge"])
+@pytest.mark.parametrize("spacing", [
+    (0.8, 0.8, 2.5),
+    (1.1, 1.1, 1.1),
+    (NEAR_OVERFLOW,) * 3,
+    (NEAR_UNDERFLOW,) * 3,
+    (NEAR_UNDERFLOW, 1.0, 1e150),
+], ids=["benchmark", "isotropic", "near overflow", "near underflow", "mixed"])
+def test_make_label_is_bit_identical_to_the_whole_volume_expression(voxel, spacing):
+    """The in-place chain keeps the order of operations of the expression it replaced."""
+    template = Volume3(dims=(5, 4, 3), spacing=spacing)  # at the origin, so no center rounds onto another
+    ix, iy, iz = voxel
+    z, y, x = np.ogrid[:3, :4, :5]
+    sx, sy, sz = spacing
+    dx, dy, dz = (x - ix) * sx, (y - iy) * sy, (z - iz) * sz
+    dist = np.sqrt(dz * dz + (dy * dy + dx * dx))
+    want = np.exp(-LABEL_DECAY * (dist / dist.max()))
+    got = make_label(template.voxel_center(*voxel), template)
+    assert got.data.tobytes() == want.tobytes()
+
+
 def test_make_label_two_voxel_example():
     template = Volume3(dims=(1, 1, 2), spacing=(1, 1, 1))
     label = make_label(Point3(0, 0, 0), template)
@@ -430,6 +502,28 @@ def test_recover_rejects_nan():
         recover_landmark(Volume3(dims=(2, 2, 2), spacing=(1, 1, 1), data=data))
 
 
+@pytest.mark.parametrize("values", [
+    {3: np.nan, 5: 1.0},
+    {1: 1.0, 6: np.nan},
+    {i: np.nan for i in range(8)},
+    {2: np.inf, 3: np.nan},
+    {2: np.nan, 3: np.inf},
+    {0: np.inf, 7: np.nan},
+], ids=["before the max", "after the max", "every voxel", "after +inf", "before +inf", "last, after +inf"])
+def test_recover_rejects_nan_wherever_it_lies(values):
+    data = np.zeros(8)
+    for i, v in values.items():
+        data[i] = v
+    with pytest.raises(InvalidDataError, match="NaN"):
+        recover_landmark(Volume3(dims=(2, 2, 2), spacing=(1, 1, 1), data=data))
+
+
+def test_recover_takes_an_infinite_max():
+    data = np.zeros(8)
+    data[[2, 5]] = np.inf
+    assert recover_landmark(Volume3(dims=(2, 2, 2), spacing=(1, 1, 1), data=data)) == Point3(0.0, 1.0, 0.0)
+
+
 @given(
     st.floats(-2.9, 8.9),
     st.floats(-1.7, 5.2),
@@ -500,6 +594,18 @@ def test_extremes_match_exhaustive_scan(axis):
     along = [(c.x, c.y, c.z)[axis] for c in centers]
     assert lo == centers[int(np.argmin(along))]
     assert hi == centers[int(np.argmax(along))]
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_extremes_take_negative_zero_as_background(axis):
+    rng = np.random.default_rng(axis + 70)
+    vol = Volume3(dims=(6, 5, 4), spacing=(0.8, 1.3, 2.2))
+    data = (rng.random(vol.n_voxels) < 0.1).astype(float)
+    data[17] = 1.0
+    signed = np.where(data == 1.0, 1.0, -0.0)
+    assert np.signbit(signed).sum() == vol.n_voxels - data.sum()
+    mask = BinaryMask(vol.with_data(signed))  # -0.0 == 0.0, so the mask takes it
+    assert extract_extremes(mask, axis) == extract_extremes(BinaryMask(vol.with_data(data)), axis)
 
 
 def test_extremes_empty_mask_raises():

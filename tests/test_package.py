@@ -16,7 +16,8 @@ import landreg.cli
 from landreg import PointSet, Volume3, write_points, write_volume
 from landreg.refine import LOSS_EPSILON
 
-README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+README = os.path.join(ROOT, "README.md")
 
 
 def test_readme_library_example_runs():
@@ -31,6 +32,25 @@ def test_readme_library_example_runs():
 
 def test_every_exported_name_exists():
     assert all(hasattr(landreg, name) for name in landreg.__all__)
+
+
+def test_a_failing_property_test_reports_its_falsifying_example(tmp_path):
+    """Under this project's warning filters, a generated counterexample is printed, not lost."""
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n\n"
+        "@settings(database=None)\n"
+        "@given(st.integers())\n"
+        "def test_fails(n):\n"
+        "    assert n < 10\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-p", "no:cacheprovider", "-c", os.path.join(ROOT, "pyproject.toml"),
+         "--rootdir", str(tmp_path), "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "Falsifying example: test_fails(" in run.stdout
 
 
 def package_copy(tmp_path):
