@@ -5,7 +5,8 @@ library in the package's ``__pycache__``. The library's name carries the
 kernel's name and the CRC-32 of the compiler command and the source, so an
 edited source is built anew. Contraction into fused multiply-adds is off:
 both kernels reproduce numpy or scalar Python arithmetic, which rounds
-every operation on its own.
+every operation on its own. Math functions need not set ``errno``, so
+``sqrt`` compiles to the instruction, which returns the same value.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import zlib
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _CACHE = os.path.join(_HERE, "__pycache__")
-_COMPILE = ("cc", "-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_COMPILE = ("cc", "-O2", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
 # a caller's functools.cache lets threads that miss at once all call load,
 # so this lock lets only one of them build a library
 _BUILD_LOCK = threading.Lock()
@@ -27,15 +28,19 @@ def _build(source: str, library: str, title: str) -> None:
     """Compile ``source`` in a temporary directory in the cache, then move it to ``library``.
 
     Processes that build at once each compile their own file and move it
-    into place whole, so every one of them loads a complete library.
+    into place whole, so every one of them loads a complete library. Every
+    failure is an ``OSError`` whose message names the kernel by ``title``.
     """
     import shutil
     import subprocess
     import tempfile
 
-    os.makedirs(_CACHE, exist_ok=True)
     name = os.path.basename(library)
-    scratch = tempfile.mkdtemp(prefix=name.split(".")[0] + ".", suffix=".tmp", dir=_CACHE)
+    try:
+        os.makedirs(_CACHE, exist_ok=True)
+        scratch = tempfile.mkdtemp(prefix=name.split(".")[0] + ".", suffix=".tmp", dir=_CACHE)
+    except OSError as exc:
+        raise _cache_error(title, exc) from exc
     partial = os.path.join(scratch, name)
     try:
         try:
@@ -43,13 +48,23 @@ def _build(source: str, library: str, title: str) -> None:
                                   stdin=subprocess.DEVNULL, capture_output=True, text=True)
         except FileNotFoundError as exc:
             raise OSError(f"cannot build the {title}: no C compiler '{_COMPILE[0]}' found") from exc
+        except OSError as exc:
+            raise OSError(f"cannot build the {title}: cannot run '{_COMPILE[0]}': {exc.strerror or exc}") from exc
         if done.returncode != 0:
             first = (done.stderr.strip().splitlines() or [""])[0]
             raise OSError(f"cannot build the {title}: '{_COMPILE[0]}' exited with "
                           f"status {done.returncode}: {first}")
-        os.replace(partial, library)
+        try:
+            os.replace(partial, library)
+        except OSError as exc:
+            raise _cache_error(title, exc) from exc
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
+
+
+def _cache_error(title: str, exc: OSError) -> OSError:
+    """The error of a kernel cache that cannot be written, naming the kernel and the cache."""
+    return OSError(f"cannot build the {title}: cannot write the kernel cache '{_CACHE}': {exc.strerror or exc}")
 
 
 def load(name: str, title: str) -> ctypes.CDLL:

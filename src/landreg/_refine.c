@@ -6,7 +6,9 @@
  * is evaluated in the order of the scalar Python loop kept as the oracle
  * in tests/test_refine.py, and floating-point contraction is off, so the
  * results are bit-identical to that loop's wherever sin, cos and pow come
- * from the libm that Python's math module calls.
+ * from the libm that Python's math module calls. The Adam update runs in
+ * GCC/Clang vector extensions, two parameters a vector; each lane rounds
+ * every operation as the scalar loop does.
  *
  * theta is (tx, ty, tz, rx, ry, rz, sx, sy, sz); pairs holds n rows
  * (px, py, pz, fx, fy, fz) of moving and fixed coordinates.
@@ -14,6 +16,7 @@
 
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 /* landreg_refine's status; landreg.refine reads the same values */
 enum { REFINE_OK = 0, REFINE_NONFINITE_LOSS = 1, REFINE_NONFINITE_ANGLE = 2 };
@@ -96,23 +99,90 @@ static int angles_finite(const double *theta)
     return !isinf(theta[3]) && !isinf(theta[4]) && !isinf(theta[5]);
 }
 
+/* Adam's bias corrections 1 - beta^k for k = 1 .. count, into table.
+ * Stops at the first k whose correction rounds to exactly 1.0 and returns
+ * the number written: every later one is 1.0 too, as beta^k only falls. */
+int64_t landreg_bias_corrections(double beta, int64_t count, double *table)
+{
+    for (int64_t k = 1; k <= count; k++) {
+        const double correction = 1.0 - pow(beta, (double)k);
+        if (correction == 1.0)
+            return k - 1;
+        table[k - 1] = correction;
+    }
+    return count;
+}
+
+typedef double pair __attribute__((vector_size(2 * sizeof(double))));
+
+/* The constants of one Adam step */
+struct adam {
+    double beta1, beta2, keep1, keep2, step_size, epsilon;
+};
+
+static pair splat(double value)
+{
+    return (pair){value, value};
+}
+
+static pair sqrt_pair(pair value)
+{
+    return (pair){sqrt(value[0]), sqrt(value[1])};
+}
+
+/* One Adam update of the nine parameters: x[0..7] as four pairs, x[8]
+ * alone. correction1 divides the first moment only while `corrected`;
+ * once it is 1.0 the division is left out, as m / 1.0 == m. */
+static inline void adam_update(const struct adam *a, double *x, pair *m, pair *v, double *m8, double *v8,
+                               const double *grad, double correction1, double correction2, int corrected)
+{
+    const pair beta1 = splat(a->beta1), beta2 = splat(a->beta2), keep1 = splat(a->keep1), keep2 = splat(a->keep2);
+    const pair step_size = splat(a->step_size), epsilon = splat(a->epsilon);
+    const pair correction1_ = splat(correction1), correction2_ = splat(correction2);
+    for (int j = 0; j < 4; j++) {
+        pair g, xj;
+        memcpy(&g, grad + 2 * j, sizeof g);
+        memcpy(&xj, x + 2 * j, sizeof xj);
+        m[j] = beta1 * m[j] + keep1 * g;
+        v[j] = beta2 * v[j] + keep2 * g * g;
+        pair m_hat = m[j];
+        if (corrected)
+            m_hat = m_hat / correction1_;
+        xj = xj - step_size * m_hat / (sqrt_pair(v[j] / correction2_) + epsilon);
+        memcpy(x + 2 * j, &xj, sizeof xj);
+    }
+    const double g = grad[8];
+    *m8 = a->beta1 * *m8 + a->keep1 * g;
+    *v8 = a->beta2 * *v8 + a->keep2 * g * g;
+    double m_hat = *m8;
+    if (corrected)
+        m_hat = m_hat / correction1;
+    x[8] = x[8] - a->step_size * m_hat / (sqrt(*v8 / correction2) + a->epsilon);
+}
+
 /* Bias-corrected Adam descent of the loss for `iterations` steps.
  *
- * On entry theta is the start; on return it is the best iterate inside
- * the family (all scales positive, the start included). losses receives
- * (initial, best). trace_iterations and trace_losses receive the samples
- * at iterations 0, 1, every trace_stride-th and the last; *trace_count
- * their number. *at is the best iteration, or on failure the iteration
- * that failed.
+ * corrections1 and corrections2 hold the bias corrections 1 - beta1^k and
+ * 1 - beta2^k for k = 1, 2, ..., count1 and count2 of them (as
+ * landreg_bias_corrections writes them); past its end a correction is
+ * exactly 1.0. On entry theta is the start; on return it is the best
+ * iterate inside the family (all scales positive, the start included).
+ * losses receives (initial, best). trace_iterations and trace_losses
+ * receive the samples at iterations 0, 1, every trace_stride-th and the
+ * last; *trace_count their number. *at is the best iteration, or on
+ * failure the iteration that failed.
  */
 int landreg_refine(const double *pairs, int64_t n, double *theta, int64_t iterations,
                    double step_size, double beta1, double beta2, double epsilon,
                    double loss_epsilon, int64_t trace_stride,
+                   const double *corrections1, int64_t count1,
+                   const double *corrections2, int64_t count2,
                    int64_t *trace_iterations, double *trace_losses, int64_t *trace_count,
                    double *losses, int64_t *at)
 {
-    const double keep1 = 1.0 - beta1, keep2 = 1.0 - beta2;
-    double x[9], best[9], grad[9], m[9] = {0.0}, v[9] = {0.0};
+    const struct adam a = {beta1, beta2, 1.0 - beta1, 1.0 - beta2, step_size, epsilon};
+    double x[9], best[9], grad[9], m8 = 0.0, v8 = 0.0;
+    pair m[4] = {{0.0}}, v[4] = {{0.0}};
     int64_t samples = 0;
 
     /* the start is finite: refine takes it from validated parameters */
@@ -129,14 +199,11 @@ int landreg_refine(const double *pairs, int64_t n, double *theta, int64_t iterat
     trace_losses[samples++] = value;
 
     for (int64_t k = 1; k <= iterations; k++) {
-        const double correction1 = 1.0 - pow(beta1, (double)k);
-        const double correction2 = 1.0 - pow(beta2, (double)k);
-        for (int i = 0; i < 9; i++) {
-            const double g = grad[i];
-            m[i] = beta1 * m[i] + keep1 * g;
-            v[i] = beta2 * v[i] + keep2 * g * g;
-            x[i] = x[i] - step_size * (m[i] / correction1) / (sqrt(v[i] / correction2) + epsilon);
-        }
+        const double correction2 = k <= count2 ? corrections2[k - 1] : 1.0;
+        if (k <= count1)
+            adam_update(&a, x, m, v, &m8, &v8, grad, corrections1[k - 1], correction2, 1);
+        else
+            adam_update(&a, x, m, v, &m8, &v8, grad, 1.0, correction2, 0);
 
         *at = k;
         if (!angles_finite(x))

@@ -163,7 +163,9 @@ class Volume3:
 
     ``data`` is a flat array indexed x-fastest: ``x + nx * (y + ny * z)``.
     The world coordinate of voxel (x, y, z) is
-    ``origin + (x * sx, y * sy, z * sz)``.
+    ``origin + (x * sx, y * sy, z * sz)``; on an axis of more than one
+    voxel, neighbouring centers must not round to the same coordinate
+    (:class:`DegenerateConfigurationError`).
     """
 
     dims: tuple[int, int, int]
@@ -188,6 +190,7 @@ class Volume3:
             raise InvalidParameterError(
                 f"data length {data.size} does not match dims product {n}"
             )
+        _require_distinct_centers(dims, spacing, self.origin)
         data.flags.writeable = False
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "spacing", spacing)
@@ -250,6 +253,33 @@ class Volume3:
         volume = copy.copy(self)  # the checked geometry, without __post_init__ and its copy
         object.__setattr__(volume, "data", data.reshape(-1))
         return volume
+
+
+def _require_distinct_centers(dims: tuple[int, int, int], spacing: tuple[float, float, float],
+                              origin: Point3) -> None:
+    """Raise unless neighbouring voxel centers differ on every axis of more than one voxel.
+
+    Centers are computed as :meth:`Volume3.voxel_center` does; a spacing
+    below the rounding step of the coordinates maps several voxels to one
+    center. Infinite centers are left to the checks of the stages that
+    square the distances.
+    """
+    for axis, n, step, start in zip("xyz", dims, spacing, (origin.x, origin.y, origin.z)):
+        if n < 2:
+            continue
+        # each center is off by at most ulp(2 * reach) from its exact value,
+        # so a step of more than twice that keeps every pair apart
+        reach = abs(start) + (n - 1) * step
+        if step > 2 * math.ulp(2 * reach):
+            continue
+        with np.errstate(over="ignore"):
+            centers = start + np.arange(n) * step
+        if np.any((centers[1:] == centers[:-1]) & np.isfinite(centers[1:])):
+            raise DegenerateConfigurationError(
+                f"voxel spacing {spacing} mm is too fine for a {'x'.join(map(str, dims))} grid at origin "
+                f"({origin.x}, {origin.y}, {origin.z}) mm: neighbouring voxel centers on the {axis} axis "
+                "round to the same coordinate"
+            )
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,8 @@ class CorrespondenceError(LandregError):
 class DegenerateConfigurationError(LandregError):
     """Point configuration too degenerate to fit (too few or collinear points),
     or so large that the fit, its determinant or scales, or the TRE overflow;
-    or voxel spacing whose squared distances overflow or underflow."""
+    or voxel spacing whose squared distances overflow or underflow, or so
+    fine beside the origin that neighbouring voxel centers coincide."""
 
     exit_code = 5
 

@@ -12,13 +12,15 @@ The loss, its gradient and the Adam loop run in one C kernel,
 ``_refine.c``, built with the system C compiler on the first call and
 cached beside this module (``_native`` builds and loads it). It reproduces
 the scalar float arithmetic of a plain Python loop operation for
-operation, so its results are bit-identical to that loop's.
+operation, so its results are bit-identical to that loop's. Adam's bias
+corrections come from one table per process, which the kernel fills once.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +39,10 @@ ADAM_EPSILON = 1e-8
 # added under the square root of each distance so the loss gradient stays
 # finite at exact alignment
 LOSS_EPSILON = 1e-12
+
+# 1 - BETA2**k rounds to exactly 1.0 from k = 37 412 on (1 - BETA1**k from
+# k = 356), so no table of bias corrections holds more entries than this
+_MAX_CORRECTIONS = 37_411
 
 
 @dataclass(frozen=True)
@@ -98,12 +104,47 @@ def _kernel() -> ctypes.CDLL:
     address, count = ctypes.c_void_p, ctypes.c_int64
     lib.landreg_loss_and_gradient.argtypes = (address, address, count, ctypes.c_double, address)
     lib.landreg_loss_and_gradient.restype = ctypes.c_double
+    lib.landreg_bias_corrections.argtypes = (ctypes.c_double, count, address)
+    lib.landreg_bias_corrections.restype = count
     lib.landreg_refine.argtypes = (
-        address, count, address, count, *[ctypes.c_double] * 5, count,
+        address, count, address, count, *[ctypes.c_double] * 5, count, address, count, address, count,
         address, address, ctypes.POINTER(count), address, ctypes.POINTER(count),
     )
     lib.landreg_refine.restype = ctypes.c_int
     return lib
+
+
+# (iterations covered, 1 - BETA1**k, 1 - BETA2**k) for k = 1, 2, ...: each
+# table ends at the iterations covered or before its first 1.0. A larger
+# request replaces the whole tuple, so a caller keeps the tables it took.
+_corrections: tuple[int, np.ndarray, np.ndarray] = (0, np.empty(0), np.empty(0))
+_corrections_lock = threading.Lock()
+
+
+def _bias_corrections(iterations: int) -> tuple[np.ndarray, np.ndarray]:
+    """Adam's bias corrections for the first ``iterations`` steps, up to where they round to 1.0.
+
+    The tables are built on the first call and grow, up to
+    ``_MAX_CORRECTIONS`` entries, only when a call needs more steps than
+    every earlier one; the kernel takes every later correction as 1.0.
+    """
+    global _corrections
+    wanted = min(iterations, _MAX_CORRECTIONS)
+    with _corrections_lock:
+        covered, first, second = _corrections
+        # a table shorter than the steps covered has reached its 1.0
+        if wanted > covered and max(len(first), len(second)) == covered:
+            first, second = (_correction_table(beta, wanted) for beta in (BETA1, BETA2))
+            _corrections = wanted, first, second
+    return first, second
+
+
+def _correction_table(beta: float, count: int) -> np.ndarray:
+    """``1 - beta**k`` for k = 1 .. ``count``, ending before the first that rounds to 1.0; read-only."""
+    table = np.empty(count)
+    table = table[:_kernel().landreg_bias_corrections(beta, count, table.ctypes.data)]
+    table.flags.writeable = False
+    return table
 
 
 def _loss_and_gradient(params: AffineParams9, moving: PointSet, fixed: PointSet) -> tuple[float, np.ndarray]:
@@ -161,10 +202,12 @@ def refine(init: AffineParams9, moving: PointSet, fixed: PointSet,
     except (MemoryError, ValueError) as exc:  # ValueError: more samples than an array can index
         raise MemoryError(f"cannot allocate a loss trace of {samples} samples") from exc
     pairs, theta, losses = _pairs(moving, fixed), np.array(init.t + init.r + init.s), np.empty(2)
+    first, second = _bias_corrections(cfg.iterations)
     at, traced = ctypes.c_int64(), ctypes.c_int64()
     status = _kernel().landreg_refine(
         pairs.ctypes.data, len(pairs), theta.ctypes.data, cfg.iterations,
         cfg.step_size, BETA1, BETA2, ADAM_EPSILON, LOSS_EPSILON, TRACE_STRIDE,
+        first.ctypes.data, len(first), second.ctypes.data, len(second),
         trace_iterations.ctypes.data, trace_losses.ctypes.data, ctypes.byref(traced),
         losses.ctypes.data, ctypes.byref(at),
     )

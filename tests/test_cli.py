@@ -117,7 +117,7 @@ def test_make_label_out_of_bounds(tmp_path):
     "placement",
     [
         ["--landmark", "1e308,0,0", "--spacing", "1e-10,1,1"],
-        ["--landmark", "0,0,0", "--spacing", "1,1,1", "--origin=-1e308,0,0"],
+        ["--landmark", "1e300,0,0", "--spacing", "1,1,1"],
     ],
     ids=["offset-overflows", "offset-past-the-integers"],
 )
@@ -129,6 +129,33 @@ def test_make_label_landmark_far_outside_is_out_of_bounds(tmp_path, capsys, plac
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("error: landmark (") and "(dims (2, 1, 1), spacing (" in captured.err
     assert not out.exists() and not (tmp_path / "label.raw").exists()
+
+
+# a 5x4x3 grid whose voxel centers all round to its origin (-3, 2, 1)
+COLLAPSED = {"dims": [5, 4, 3], "spacing": [1.5e-154] * 3, "origin": [-3.0, 2.0, 1.0]}
+
+
+@pytest.mark.parametrize("command", ["make-label", "edt"])
+def test_grid_whose_voxel_centers_collapse_is_refused(tmp_path, capsys, command):
+    # a parameter error on the command line, a format error in a volume header
+    if command == "make-label":
+        argv, code, where = ["make-label", "OUT", "--landmark=-3,2,1"] + [
+            f"--{key}={','.join(map(repr, value))}" for key, value in COLLAPSED.items()], 5, ""
+    else:
+        mask = tmp_path / "mask.json"
+        write_mask(mask, (5, 4, 3), (1, 1, 1), [0])
+        header = json.loads(mask.read_text())
+        header.update(COLLAPSED)
+        mask.write_text(json.dumps(header))
+        argv, code, where = ["edt", str(mask), "OUT"], 2, f"{mask}: "
+    before = tree_bytes(tmp_path)
+    assert main([str(tmp_path / "out.json") if arg == "OUT" else arg for arg in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {where}voxel spacing (1.5e-154, 1.5e-154, 1.5e-154) mm is too fine ")
+    assert "neighbouring voxel centers on the x axis round to the same coordinate" in captured.err
+    assert tree_bytes(tmp_path) == before
 
 
 def _never(*args):
@@ -681,6 +708,8 @@ def test_synth_noise_that_overflows_names_noise_sigma(tmp_path, capsys):
         ["register", "MOVING", "FIXED", "OUT", "--refine", "--lr", "0"],
         ["register", "MOVING", "FIXED", "OUT", "--refine", "--lr", "nan"],
         ["register", "MOVING", "FIXED", "OUT", "--iters", "0"],
+        # a loss trace too long to allocate, not a bias correction table that long
+        ["register", "MOVING", "FIXED", "OUT", "--refine", "--iters", "1000000000000000000"],
         ["make-label", "OUT", "--landmark", "0,0,0", "--dims", "0,4,4", "--spacing", "1,1,1"],
     ],
     ids=lambda argv: " ".join(argv[argv.index("OUT") + 1:]),

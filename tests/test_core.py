@@ -1,6 +1,7 @@
 """Geometry primitives: validation, index conventions, compose/decompose."""
 
 import math
+import pickle
 from decimal import Decimal
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from landreg.errors import (
     DegenerateConfigurationError,
     InvalidParameterError,
 )
+from landreg.landmarks import make_label
 from landreg.refine import RefineConfig
 from landreg.synth import SynthConfig
 
@@ -135,6 +137,40 @@ def test_volume_index_round_trip(dims, raw):
     assert x + dims[0] * (y + dims[1] * z) == linear
 
 
+@pytest.mark.parametrize(("dims", "spacing", "origin", "axis"), [
+    # every center rounds to the origin: voxel (2, 2, 1) would lie on voxel (0, 0, 0)
+    ((5, 4, 3), (1.5e-154,) * 3, (-3.0, 2.0, 1.0), "x"),
+    ((2, 1, 1), (1.0, 1.0, 1.0), (-1e308, 0.0, 0.0), "x"),
+    # only the last pair meets: 2^53 + 1 rounds to 2^53
+    ((1, 3, 1), (1.0, 1.0, 1.0), (0.0, 2.0**53 - 1, 0.0), "y"),
+    ((1, 1, 2), (1.0, 1.0, 0.5), (0.0, 0.0, 2.0**52), "z"),
+], ids=["tiny spacing", "huge origin", "last pair", "half step"])
+def test_volume_whose_voxel_centers_collapse_is_refused(dims, spacing, origin, axis):
+    with pytest.raises(DegenerateConfigurationError, match=f"neighbouring voxel centers on the {axis} axis"):
+        Volume3(dims=dims, spacing=spacing, origin=Point3(*origin))
+
+
+@pytest.mark.parametrize(("dims", "spacing", "origin"), [
+    ((1, 1, 1), (1.5e-154,) * 3, (-3.0, 2.0, 1.0)),  # no neighbours
+    ((1, 4, 3), (1.5e-154, 1.0, 1.0), (-3.0, 2.0, 1.0)),
+    ((5, 4, 3), (1.5e-154,) * 3, (0.0, 0.0, 0.0)),
+    ((1, 3, 1), (1.0, 1.0, 1.0), (0.0, 2.0**53 - 2, 0.0)),
+], ids=["one voxel", "single-voxel x axis", "at zero", "last pair apart"])
+def test_volume_with_distinct_voxel_centers_is_accepted(dims, spacing, origin):
+    vol = Volume3(dims=dims, spacing=spacing, origin=Point3(*origin))
+    nx, ny, nz = dims
+    centers = {vol.voxel_center(x, y, z) for z in range(nz) for y in range(ny) for x in range(nx)}
+    assert len(centers) == vol.n_voxels
+
+
+def test_volume_leaves_infinite_voxel_centers_to_the_distance_checks():
+    # the last two centers overflow to inf; the squared distances that
+    # make_label and distance_transform check overflow with them
+    vol = Volume3(dims=(1, 1, 3), spacing=(1.0, 1.0, 1e306), origin=Point3(0.0, 0.0, 1.79e308))
+    with pytest.raises(DegenerateConfigurationError, match="squared distances overflow"):
+        make_label(vol.voxel_center(0, 0, 0), vol)
+
+
 def test_volume_voxel_center_uses_origin_and_spacing():
     vol = Volume3(dims=(3, 3, 3), spacing=(0.5, 2.0, 3.0), origin=Point3(-1.0, 10.0, 0.25))
     assert vol.voxel_center(2, 1, 1) == Point3(-1.0 + 1.0, 12.0, 3.25)
@@ -207,6 +243,16 @@ def test_affine_matrix_is_immutable():
     m = AffineMatrix.identity()
     with pytest.raises(ValueError):
         m.matrix[0, 0] = 2.0
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_affine_matrix_survives_a_pickle_round_trip_read_only(protocol):
+    m = compose(AffineParams9((1.5, -2.0, 3.25), (0.1, -0.2, 0.3), (1.1, 0.9, 1.3)))
+    copy = pickle.loads(pickle.dumps(m, protocol))
+    assert type(copy) is AffineMatrix
+    assert copy.matrix.tobytes() == m.matrix.tobytes()
+    with pytest.raises(ValueError):
+        copy.matrix[0, 0] = 2.0
 
 
 def test_compose_identity():

@@ -10,10 +10,11 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import landreg
 import landreg.cli
-from landreg import PointSet, Volume3, write_points, write_volume
+from landreg import PointSet, Volume3, _native, write_points, write_volume
 from landreg.refine import LOSS_EPSILON
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -191,6 +192,37 @@ def test_missing_compiler_for_the_edt_is_one_error_line(tmp_path):
     assert run.stderr == "error: cannot build the distance transform kernel: no C compiler 'cc' found\n"
     assert kernel_files(cache) == []
     assert not (tmp_path / "dist.json").exists() and not (tmp_path / "dist.raw").exists()
+
+
+@pytest.mark.parametrize(("argv", "title", "outputs"), [
+    (REGISTER, "refinement kernel", ["out.json"]),
+    (EDT, "distance transform kernel", ["dist.json", "dist.raw"]),
+], ids=["register", "edt"])
+def test_unwritable_kernel_cache_is_one_error_line_naming_the_kernel(tmp_path, argv, title, outputs):
+    _, env = package_copy(tmp_path)
+    write_inputs(tmp_path)
+    (tmp_path / "file").write_text("")
+    cache = tmp_path / "file" / "cache"  # under a regular file, so no one can create it
+    probe = (
+        "import sys, landreg._native as native; native._CACHE = sys.argv[1]; "
+        "from landreg.cli import main; sys.exit(main(sys.argv[2:]))"
+    )
+    run = subprocess.run([sys.executable, "-c", probe, str(cache), *argv],
+                         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr == f"error: cannot build the {title}: cannot write the kernel cache '{cache}': Not a directory\n"
+    assert not any((tmp_path / name).exists() for name in outputs)
+
+
+def test_compiler_that_cannot_run_is_one_error_naming_the_kernel(tmp_path, monkeypatch):
+    fake = tmp_path / "bin" / "cc"
+    fake.parent.mkdir()
+    fake.write_text("")  # not executable, even for root
+    monkeypatch.setenv("PATH", str(fake.parent))
+    monkeypatch.setattr(_native, "_CACHE", str(tmp_path / "cache"))
+    with pytest.raises(OSError, match="^cannot build the refinement kernel: cannot run 'cc': Permission denied$"):
+        _native.load("_refine", "refinement kernel")
+    assert os.listdir(tmp_path / "cache") == []
 
 
 def test_each_command_builds_only_its_own_kernel(tmp_path):

@@ -1,5 +1,7 @@
 """Loss, analytic gradient, and Adam refinement."""
 
+import functools
+import importlib
 import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -16,8 +18,9 @@ from landreg.core import (
     transform_array,
 )
 from landreg.errors import CorrespondenceError, DivergenceError, InvalidParameterError
-from landreg.evaluate import _usable_cpus
+from landreg.evaluate import _run_case, _usable_cpus, compare_methods, refined_fit
 from landreg.refine import (
+    _MAX_CORRECTIONS,
     ADAM_EPSILON,
     BETA1,
     BETA2,
@@ -31,6 +34,9 @@ from landreg.refine import (
 )
 from landreg.synth import SynthConfig, generate_cases
 from landreg.umeyama import umeyama_fit
+
+# the module, which the package's refine function hides as an attribute
+refine_module = importlib.import_module("landreg.refine")
 
 TETRA = np.array([[0.0, 0.0, 0.0], [20.0, 0.0, 0.0], [0.0, 20.0, 0.0], [0.0, 0.0, 20.0]])
 
@@ -272,6 +278,68 @@ def test_refine_matches_scalar_oracle_bit_for_bit():
         patterns = pool.map(kernel_and_scalar_patterns, cases.values())
         for key, (kernel, scalar) in zip(cases, patterns):
             assert kernel == scalar, key
+
+
+def test_refine_matches_scalar_oracle_past_the_settled_corrections():
+    # 40 000 steps run past k = 37 412, from where both bias corrections are 1.0
+    (case,) = generate_cases(11, 1, SynthConfig(n_fit=4, noise_sigma=1.0, scale_mode="nonuniform"))
+    start = decompose(umeyama_fit(case.moving, case.fixed))
+    cfg = RefineConfig(iterations=40_000)
+    assert bit_pattern(refine(start, case.moving, case.fixed, cfg)) == bit_pattern(
+        scalar_refine(start, case.moving, case.fixed, cfg))
+
+
+@pytest.mark.parametrize(("beta", "settled", "vanished"), [(BETA1, 356, 7_073), (BETA2, 37_412, 744_761)])
+def test_bias_corrections_stay_one_from_where_the_table_ends(beta, settled, vanished):
+    # the kernel takes every correction past its table as exactly 1.0
+    assert 1.0 - beta ** (settled - 1) != 1.0
+    k = settled
+    while beta**k != 0.0:
+        assert 1.0 - beta**k == 1.0, k
+        k += 1
+    assert k == vanished
+    assert settled - 1 <= _MAX_CORRECTIONS
+
+
+@pytest.fixture
+def fresh_corrections(monkeypatch):
+    """A process without a bias correction table yet."""
+    monkeypatch.setattr(refine_module, "_corrections", (0, np.empty(0), np.empty(0)))
+
+
+def correction_lengths():
+    covered, first, second = refine_module._corrections
+    return covered, len(first), len(second)
+
+
+def test_bias_corrections_grow_only_to_the_steps_asked_for(fresh_corrections):
+    moving = PointSet(TETRA)
+    steps = [(50, (50, 50, 50)), (20, (50, 50, 50)), (500, (500, 355, 500)),
+             (40_000, (37_411, 355, 37_411))]
+    for iterations, lengths in steps:
+        refine(AffineParams9.identity(), moving, moving, RefineConfig(iterations=iterations))
+        assert correction_lengths() == lengths
+    table = refine_module._corrections
+    for iterations in (10**6, 10**400):
+        first, second = refine_module._bias_corrections(iterations)
+        assert refine_module._corrections is table
+        assert first is table[1] and second is table[2]
+    for beta, corrections in zip((BETA1, BETA2), table[1:]):
+        assert corrections.tolist() == [1.0 - beta**k for k in range(1, len(corrections) + 1)]
+    assert not table[1].flags.writeable and not table[2].flags.writeable
+
+
+def test_concurrent_first_refinements_match_serial_ones(fresh_corrections):
+    # the pool's threads all find the table missing and race to build it
+    cases = generate_cases(3, 8, SynthConfig(n_fit=4, noise_sigma=1.0, scale_mode="nonuniform"))
+    fitters = {
+        f"umeyama+refine@{n}": functools.partial(refined_fit, config=RefineConfig(iterations=n))
+        for n in (400, 40_000, 10, 2_000)
+    }
+    racing = compare_methods(cases, fitters)
+    assert correction_lengths() == (37_411, 355, 37_411)
+    serial = [report for case in cases for report in _run_case(case, fitters)]
+    assert repr(list(racing.reports)) == repr(serial)
 
 
 def one_ulp_away(params, index):
