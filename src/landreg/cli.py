@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
+from contextlib import suppress
 
 from .core import Point3, Volume3, compose, decompose
 from .errors import FormatError, LandregError
@@ -88,10 +90,22 @@ def cmd_make_label(args: argparse.Namespace) -> None:
     write_volume(make_label(Point3(*args.landmark), template), args.out)
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether two paths name one file, by their real paths or, when both exist, on disk."""
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
+    with suppress(OSError):  # one of them does not exist yet
+        return os.path.samefile(a, b)
+    return False
+
+
 def cmd_register(args: argparse.Namespace) -> None:
     config = RefineConfig(iterations=args.iters, step_size=args.lr)
     if args.trace and not args.refine:
         raise FormatError("--trace requires --refine")
+    # refuse before the work, so the trace cannot overwrite the transform
+    if args.trace and _same_file(args.trace, args.out):
+        raise FormatError(f"{args.trace}: the loss trace may not be written to the transform output")
     moving = read_points(args.moving)
     fixed = read_points(args.fixed)
     matrix = umeyama_fit(moving, fixed)

@@ -265,7 +265,7 @@ class MethodComparison:
 
     def to_text(self) -> str:
         """Human-readable comparison in a Table-1-like layout."""
-        width = max(len(name) for name in self.methods)
+        width = max(len(name) for name in ("method", *self.methods))
         lines = [f"registration performance over {self.n_cases} case(s); TRE in mm"]
         header = f"{'method':<{width}}  fitting landmarks"
         if self.holdout:

@@ -13,14 +13,13 @@ The loss, its gradient and the Adam loop run in one C kernel,
 cached beside this module (``_native`` builds and loads it). It reproduces
 the scalar float arithmetic of a plain Python loop operation for
 operation, so its results are bit-identical to that loop's. Adam's bias
-corrections come from one table per process, which the kernel fills once.
+corrections come from tables the kernel fills on a process's first call.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,37 +113,23 @@ def _kernel() -> ctypes.CDLL:
     return lib
 
 
-# (iterations covered, 1 - BETA1**k, 1 - BETA2**k) for k = 1, 2, ...: each
-# table ends at the iterations covered or before its first 1.0. A larger
-# request replaces the whole tuple, so a caller keeps the tables it took.
-_corrections: tuple[int, np.ndarray, np.ndarray] = (0, np.empty(0), np.empty(0))
-_corrections_lock = threading.Lock()
+@functools.cache
+def _bias_corrections() -> tuple[np.ndarray, np.ndarray]:
+    """Adam's read-only bias corrections ``1 - beta**k``, k = 1, 2, ..., for BETA1 and BETA2.
 
-
-def _bias_corrections(iterations: int) -> tuple[np.ndarray, np.ndarray]:
-    """Adam's bias corrections for the first ``iterations`` steps, up to where they round to 1.0.
-
-    The tables are built on the first call and grow, up to
-    ``_MAX_CORRECTIONS`` entries, only when a call needs more steps than
-    every earlier one; the kernel takes every later correction as 1.0.
+    Built in full on the first call: each table ends before its first
+    correction that rounds to 1.0 (355 entries for BETA1, 37 411 for
+    BETA2), and the kernel takes every later correction as 1.0. Threads
+    that miss the cache together each build equal tables and use their own.
     """
-    global _corrections
-    wanted = min(iterations, _MAX_CORRECTIONS)
-    with _corrections_lock:
-        covered, first, second = _corrections
-        # a table shorter than the steps covered has reached its 1.0
-        if wanted > covered and max(len(first), len(second)) == covered:
-            first, second = (_correction_table(beta, wanted) for beta in (BETA1, BETA2))
-            _corrections = wanted, first, second
-    return first, second
-
-
-def _correction_table(beta: float, count: int) -> np.ndarray:
-    """``1 - beta**k`` for k = 1 .. ``count``, ending before the first that rounds to 1.0; read-only."""
-    table = np.empty(count)
-    table = table[:_kernel().landreg_bias_corrections(beta, count, table.ctypes.data)]
-    table.flags.writeable = False
-    return table
+    tables = []
+    for beta in (BETA1, BETA2):
+        table = np.empty(_MAX_CORRECTIONS)
+        # in place: a short table gives the rest of its buffer back
+        table.resize(_kernel().landreg_bias_corrections(beta, _MAX_CORRECTIONS, table.ctypes.data))
+        table.flags.writeable = False
+        tables.append(table)
+    return tables[0], tables[1]
 
 
 def _loss_and_gradient(params: AffineParams9, moving: PointSet, fixed: PointSet) -> tuple[float, np.ndarray]:
@@ -202,7 +187,7 @@ def refine(init: AffineParams9, moving: PointSet, fixed: PointSet,
     except (MemoryError, ValueError) as exc:  # ValueError: more samples than an array can index
         raise MemoryError(f"cannot allocate a loss trace of {samples} samples") from exc
     pairs, theta, losses = _pairs(moving, fixed), np.array(init.t + init.r + init.s), np.empty(2)
-    first, second = _bias_corrections(cfg.iterations)
+    first, second = _bias_corrections()
     at, traced = ctypes.c_int64(), ctypes.c_int64()
     status = _kernel().landreg_refine(
         pairs.ctypes.data, len(pairs), theta.ctypes.data, cfg.iterations,

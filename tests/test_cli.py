@@ -159,7 +159,7 @@ def test_grid_whose_voxel_centers_collapse_is_refused(tmp_path, capsys, command)
 
 
 def _never(*args):
-    raise AssertionError("computed a volume for an output name that is refused")
+    raise AssertionError("did work for an output name that is refused")
 
 
 @pytest.mark.parametrize(
@@ -476,6 +476,26 @@ def test_register_trace_requires_refine(tmp_path):
         "--trace", str(tmp_path / "trace.csv"),
     ])
     assert code == 2
+
+
+@pytest.mark.parametrize("form", ["plain", "dot-slash", "symlink", "hard-link"])
+def test_register_trace_naming_the_transform_output_is_refused(tmp_path, capsys, monkeypatch, form):
+    _, moving, fixed = case_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("landreg.cli.read_points", _never)
+    (tmp_path / "t.json").write_text("an earlier transform\n")
+    trace = {"plain": "t.json", "dot-slash": "./t.json", "symlink": "link.json", "hard-link": "link.json"}[form]
+    if form == "symlink":
+        os.symlink("t.json", tmp_path / "link.json")
+    elif form == "hard-link":
+        os.link(tmp_path / "t.json", tmp_path / "link.json")
+    before = tree_bytes(tmp_path)
+    code = main(["register", str(moving), str(fixed), "t.json", "--refine", "--trace", trace])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {trace}: the loss trace may not be written to the transform output\n"
+    assert tree_bytes(tmp_path) == before
 
 
 def test_register_help_documents_defaults(capsys):

@@ -448,6 +448,20 @@ def test_compare_csv_and_text_output():
     )
 
 
+def test_compare_text_lines_up_method_names_shorter_than_the_header():
+    cases = generate_cases(4, 3, SynthConfig())
+    table = compare_methods(cases, {"id": METHODS["identity"], "u": METHODS["umeyama"]})
+    assert table.to_text() == (
+        "registration performance over 3 case(s); TRE in mm\n"
+        "method  fitting landmarks   hold-out landmarks\n"
+        "id      12.276 ± 4.471 mm    12.033 ± 7.645 mm\n"
+        "u        0.000 ± 0.000 mm     0.000 ± 0.000 mm\n"
+        "\n"
+        "paired t tests on per-case mean TRE (fitting landmarks)\n"
+        "id vs u: t = 4.756, p = 0.0415\n"
+    )
+
+
 def test_compare_skips_holdout_when_any_case_lacks_it():
     with_holdout = generate_cases(5, 1, SynthConfig())[0]
     table = compare_methods([with_holdout, aligned_case()], {"identity": METHODS["identity"]})

@@ -291,6 +291,10 @@ def test_refine_matches_scalar_oracle_past_the_settled_corrections():
 
 @pytest.mark.parametrize(("beta", "settled", "vanished"), [(BETA1, 356, 7_073), (BETA2, 37_412, 744_761)])
 def test_bias_corrections_stay_one_from_where_the_table_ends(beta, settled, vanished):
+    # the table holds every correction before the first 1.0, read-only
+    table = refine_module._bias_corrections()[(BETA1, BETA2).index(beta)]
+    assert table.tolist() == [1.0 - beta**k for k in range(1, settled)]
+    assert not table.flags.writeable
     # the kernel takes every correction past its table as exactly 1.0
     assert 1.0 - beta ** (settled - 1) != 1.0
     k = settled
@@ -302,43 +306,25 @@ def test_bias_corrections_stay_one_from_where_the_table_ends(beta, settled, vani
 
 
 @pytest.fixture
-def fresh_corrections(monkeypatch):
-    """A process without a bias correction table yet."""
-    monkeypatch.setattr(refine_module, "_corrections", (0, np.empty(0), np.empty(0)))
-
-
-def correction_lengths():
-    covered, first, second = refine_module._corrections
-    return covered, len(first), len(second)
-
-
-def test_bias_corrections_grow_only_to_the_steps_asked_for(fresh_corrections):
-    moving = PointSet(TETRA)
-    steps = [(50, (50, 50, 50)), (20, (50, 50, 50)), (500, (500, 355, 500)),
-             (40_000, (37_411, 355, 37_411))]
-    for iterations, lengths in steps:
-        refine(AffineParams9.identity(), moving, moving, RefineConfig(iterations=iterations))
-        assert correction_lengths() == lengths
-    table = refine_module._corrections
-    for iterations in (10**6, 10**400):
-        first, second = refine_module._bias_corrections(iterations)
-        assert refine_module._corrections is table
-        assert first is table[1] and second is table[2]
-    for beta, corrections in zip((BETA1, BETA2), table[1:]):
-        assert corrections.tolist() == [1.0 - beta**k for k in range(1, len(corrections) + 1)]
-    assert not table[1].flags.writeable and not table[2].flags.writeable
+def fresh_corrections():
+    """A process without bias correction tables yet."""
+    refine_module._bias_corrections.cache_clear()
+    yield
+    refine_module._bias_corrections.cache_clear()
 
 
 def test_concurrent_first_refinements_match_serial_ones(fresh_corrections):
-    # the pool's threads all find the table missing and race to build it
+    # the pool's threads all find the tables missing and race to build them
     cases = generate_cases(3, 8, SynthConfig(n_fit=4, noise_sigma=1.0, scale_mode="nonuniform"))
     fitters = {
         f"umeyama+refine@{n}": functools.partial(refined_fit, config=RefineConfig(iterations=n))
         for n in (400, 40_000, 10, 2_000)
     }
     racing = compare_methods(cases, fitters)
-    assert correction_lengths() == (37_411, 355, 37_411)
+    # serially, every step count reads the tables one call built
+    refine_module._bias_corrections.cache_clear()
     serial = [report for case in cases for report in _run_case(case, fitters)]
+    assert refine_module._bias_corrections.cache_info().misses == 1
     assert repr(list(racing.reports)) == repr(serial)
 
 
