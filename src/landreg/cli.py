@@ -19,7 +19,6 @@ import argparse
 import functools
 import os
 import sys
-from contextlib import suppress
 
 from .core import Point3, Volume3, compose, decompose
 from .errors import FormatError, LandregError
@@ -29,6 +28,7 @@ from .fileio import (
     read_points,
     read_transform,
     read_volume,
+    volume_data_path,
     volume_raw_name,
     write_file,
     write_trace,
@@ -80,7 +80,9 @@ def _read_mask(path: str) -> BinaryMask:
 
 
 def cmd_edt(args: argparse.Namespace) -> None:
-    volume_raw_name(args.out)  # refuse a bad output name before the work
+    # refuse a bad output name, or one that would overwrite the mask, before the work
+    out_raw = os.path.join(os.path.dirname(args.out), volume_raw_name(args.out))
+    _refuse_to_overwrite((args.out, out_raw), (args.mask, volume_data_path(args.mask)))
     write_volume(distance_transform(_read_mask(args.mask)), args.out)
 
 
@@ -91,21 +93,29 @@ def cmd_make_label(args: argparse.Namespace) -> None:
 
 
 def _same_file(a: str, b: str) -> bool:
-    """Whether two paths name one file, by their real paths or, when both exist, on disk."""
-    if os.path.realpath(a) == os.path.realpath(b):
-        return True
-    with suppress(OSError):  # one of them does not exist yet
+    """Whether two paths name one file: on disk when both exist, else by their real paths."""
+    try:
         return os.path.samefile(a, b)
-    return False
+    except OSError:  # one of them does not exist yet
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _refuse_to_overwrite(outputs: tuple[str, ...], inputs: tuple[str, ...]) -> None:
+    """Raise :class:`FormatError` if an output path names one of the input files."""
+    for output in outputs:
+        for source in inputs:
+            if _same_file(output, source):
+                raise FormatError(f"{output}: an output may not overwrite the input {source}")
 
 
 def cmd_register(args: argparse.Namespace) -> None:
     config = RefineConfig(iterations=args.iters, step_size=args.lr)
     if args.trace and not args.refine:
         raise FormatError("--trace requires --refine")
-    # refuse before the work, so the trace cannot overwrite the transform
+    # refuse before the work, so no output overwrites the transform or an input
     if args.trace and _same_file(args.trace, args.out):
         raise FormatError(f"{args.trace}: the loss trace may not be written to the transform output")
+    _refuse_to_overwrite((args.out, args.trace) if args.trace else (args.out,), (args.moving, args.fixed))
     moving = read_points(args.moving)
     fixed = read_points(args.fixed)
     matrix = umeyama_fit(moving, fixed)

@@ -65,8 +65,24 @@ class TREStat:
         if not arr.size:
             raise InsufficientSampleError("cannot summarize an empty TRE list")
         with np.errstate(over="ignore", invalid="ignore"):
-            mean = float(np.mean(arr))
-            std = 0.0 if arr.size == 1 else float(np.std(arr, ddof=1))
+            return cls._summarize(arr)
+
+    @classmethod
+    def _summarize(cls, arr: np.ndarray) -> "TREStat":
+        """The statistic of a non-empty 1-D float64 array; call it with overflow warnings off.
+
+        Mean and sample std are bit-identical to ``np.mean(arr)`` and
+        ``np.std(arr, ddof=1)``: the same two pairwise sums, taken the way
+        numpy's own ``_mean`` and ``_var`` take them.
+        """
+        n = arr.size
+        mean = np.add.reduce(arr) / n
+        std = 0.0
+        if n > 1:
+            deviations = arr - mean
+            np.multiply(deviations, deviations, out=deviations)
+            std = math.sqrt(np.add.reduce(deviations) / (n - 1))  # non-finite too when the mean overflows
+        mean = float(mean)
         if not (math.isfinite(mean) and math.isfinite(std)):
             raise DegenerateConfigurationError(
                 "target registration error is too large: it overflows the float range"
@@ -130,8 +146,7 @@ def tre(transform: AffineMatrix, moving_eval: PointSet, fixed_eval: PointSet) ->
     require_correspondence(moving_eval, fixed_eval)
     with np.errstate(over="ignore", invalid="ignore"):  # TREStat reports overflow
         delta = fixed_eval.coords - transform_array(transform, moving_eval.coords)
-        values = np.sqrt((delta * delta).sum(axis=1))
-    return TREStat.from_values(values)
+        return TREStat._summarize(np.sqrt(np.add.reduce(delta * delta, axis=1)))
 
 
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:

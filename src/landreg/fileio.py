@@ -1,9 +1,10 @@
 """On-disk formats: landmark CSV, transform JSON, and volume JSON + raw.
 
 Point sets are CSV with the exact header ``name,x,y,z``, coordinates in
-millimeters, UTF-8, LF line endings. Transforms are JSON objects with a
-16-number row-major ``matrix`` and, when the matrix decomposes cleanly, a
-``params`` object of t/r/s triples. Volumes are a JSON header describing
+millimeters, UTF-8, written with LF line endings and read with LF, CRLF
+or CR. Transforms are JSON objects with a 16-number row-major ``matrix``
+and, when the matrix decomposes cleanly, a ``params`` object of t/r/s
+triples, written with two-space indentation. Volumes are a JSON header describing
 dims/spacing/origin plus a sibling raw file of little-endian 32-bit
 floats in x-fastest order. All numbers are written at full precision;
 any content-level problem raises :class:`FormatError`. Every file the
@@ -39,11 +40,13 @@ def _require(condition: bool, path: str | os.PathLike, message: str) -> None:
 def _decoding(where: str | os.PathLike) -> Iterator[None]:
     """Report any failure to decode file content as :class:`FormatError`.
 
-    This is the one place where foreign exceptions become ``FormatError``:
-    bad encoding and bad JSON (both ``ValueError``), JSON values of the
-    wrong type (``TypeError``), integers too large for a float, runaway
-    nesting, CSV fields over the parser's limit and the library's own
-    validation errors, each prefixed with ``where``. ``FormatError``
+    Foreign exceptions become ``FormatError`` here, with one exception: a
+    coordinate of a point file that is not a number, which
+    :func:`read_points` reports itself with its line number. Converted
+    here are bad encoding and bad JSON (both ``ValueError``), JSON values
+    of the wrong type (``TypeError``), integers too large for a float,
+    runaway nesting, CSV fields over the parser's limit and the library's
+    own validation errors, each prefixed with ``where``. ``FormatError``
     passes unchanged, so a nested scope keeps its more precise location,
     and ``OSError`` passes as an I/O error.
     """
@@ -53,6 +56,20 @@ def _decoding(where: str | os.PathLike) -> Iterator[None]:
         raise
     except (ValueError, TypeError, OverflowError, RecursionError, csv.Error, LandregError) as exc:
         raise FormatError(f"{where}: {exc}") from exc
+
+
+def _read_text(path: str | os.PathLike) -> str:
+    """The whole content of ``path``, read at once and decoded as UTF-8; line endings are kept."""
+    with open(path, "rb", buffering=0) as fh:
+        return fh.read().decode("utf-8")
+
+
+def _read_json(path: str | os.PathLike):
+    """Parse ``path`` as JSON, with CRLF and CR line endings read as LF (as a text-mode open reads them)."""
+    text = _read_text(path)
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return json.loads(text)
 
 
 def write_file(path: str | os.PathLike, data) -> None:
@@ -95,22 +112,21 @@ def write_file(path: str | os.PathLike, data) -> None:
 def read_points(path: str | os.PathLike) -> PointSet:
     """Read a landmark CSV (header ``name,x,y,z``, mm)."""
     with _decoding(path):
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
+        rows = list(csv.reader(io.StringIO(_read_text(path), newline="")))
         _require(bool(rows), path, "empty point file")
-        _require(
-            tuple(cell.strip() for cell in rows[0]) == POINTS_HEADER,
-            path,
-            f"expected header 'name,x,y,z', got {','.join(rows[0])!r}",
-        )
+        if tuple(cell.strip() for cell in rows[0]) != POINTS_HEADER:
+            raise FormatError(f"{path}: expected header 'name,x,y,z', got {','.join(rows[0])!r}")
         names: list[str] = []
         coords: list[tuple[float, float, float]] = []
         for lineno, row in enumerate(rows[1:], start=2):
-            if not row:
-                continue
-            _require(len(row) == 4, path, f"line {lineno}: expected 4 fields, got {len(row)}")
-            with _decoding(f"{path}: line {lineno}"):
+            if len(row) != 4:
+                if not row:
+                    continue
+                raise FormatError(f"{path}: line {lineno}: expected 4 fields, got {len(row)}")
+            try:
                 coords.append((float(row[1]), float(row[2]), float(row[3])))
+            except ValueError as exc:
+                raise FormatError(f"{path}: line {lineno}: {exc}") from exc
             names.append(row[0])
         _require(bool(coords), path, "point file holds no points")
         return PointSet(np.asarray(coords, dtype=float), names=tuple(names))
@@ -132,8 +148,7 @@ def write_points(points: PointSet, path: str | os.PathLike) -> None:
 def read_transform(path: str | os.PathLike) -> AffineMatrix:
     """Read a transform JSON; the row-major ``matrix`` field is authoritative."""
     with _decoding(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = _read_json(path)
         _require(isinstance(payload, dict), path, "transform file must hold a JSON object")
         _require("matrix" in payload, path, "transform file lacks a 'matrix' field")
         entries = payload["matrix"]
@@ -161,28 +176,22 @@ def write_transform(
             params = decompose(transform)
         except DecompositionError:
             params = None
-    payload: dict[str, object] = {
-        "matrix": [float(v) for v in transform.matrix.reshape(-1)]
-    }
+    # The bytes of json.dumps(payload, indent=2) + "\n", formatted directly: with an indent, json runs
+    # its pure-Python encoder. Every number is a finite float, which json writes as its repr.
+    text = '{\n  "matrix": [\n    ' + ",\n    ".join(map(repr, transform.matrix.reshape(-1).tolist())) + "\n  ]"
     if params is not None:
-        payload["params"] = {
-            "t": [float(v) for v in params.t],
-            "r": [float(v) for v in params.r],
-            "s": [float(v) for v in params.s],
-        }
-    write_file(path, (json.dumps(payload, indent=2) + "\n").encode("utf-8"))
+        blocks = (
+            f'"{key}": [\n      ' + ",\n      ".join(map(repr, map(float, values))) + "\n    ]"
+            for key, values in (("t", params.t), ("r", params.r), ("s", params.s))
+        )
+        text += ',\n  "params": {\n    ' + ",\n    ".join(blocks) + "\n  }"
+    write_file(path, (text + "\n}\n").encode("ascii"))
 
 
-def read_volume(path: str | os.PathLike) -> Volume3:
-    """Read a volume JSON header and its raw little-endian float32 payload.
-
-    The ``data`` path is relative and resolved against the header's
-    directory; a path that is absolute or leaves that directory is a
-    :class:`FormatError`.
-    """
+def _read_volume_header(path: str | os.PathLike) -> tuple[tuple[int, int, int], object, Point3, str]:
+    """The dims, spacing (checked by :class:`Volume3`), origin and ``data`` name of a volume header."""
     with _decoding(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = _read_json(path)
         _require(isinstance(payload, dict), path, "volume header must be a JSON object")
         for key in ("dims", "spacing", "origin", "dtype", "data"):
             _require(key in payload, path, f"volume header lacks '{key}'")
@@ -191,7 +200,7 @@ def read_volume(path: str | os.PathLike) -> Volume3:
             path,
             f"unsupported dtype {payload['dtype']!r}, expected '{VOLUME_DTYPE}'",
         )
-        nx, ny, nz = (require_integer(d, "dims", 1) for d in require_three(payload["dims"], "dims"))
+        dims = tuple(require_integer(d, "dims", 1) for d in require_three(payload["dims"], "dims"))
         origin = Point3(*require_three(payload["origin"], "origin"))
         raw_name = payload["data"]
         _require(isinstance(raw_name, str), path, "'data' must be a path string")
@@ -201,16 +210,37 @@ def read_volume(path: str | os.PathLike) -> Volume3:
             path,
             f"'data' must be a relative path inside the header's directory, got {raw_name!r}",
         )
+        return dims, payload["spacing"], origin, raw_name
+
+
+def volume_data_path(path: str | os.PathLike) -> str:
+    """The path of the raw file that the volume header at ``path`` names.
+
+    The header is read and checked as :func:`read_volume` checks it; the
+    raw file itself is not opened.
+    """
+    return os.path.join(os.path.dirname(os.fspath(path)), _read_volume_header(path)[3])
+
+
+def read_volume(path: str | os.PathLike) -> Volume3:
+    """Read a volume JSON header and its raw little-endian float32 payload.
+
+    The ``data`` path is relative and resolved against the header's
+    directory; a path that is absolute or leaves that directory is a
+    :class:`FormatError`.
+    """
+    dims, spacing, origin, raw_name = _read_volume_header(path)
+    with _decoding(path):
         with open(os.path.join(os.path.dirname(os.fspath(path)), raw_name), "rb") as fh:
             blob = fh.read()
-        n = nx * ny * nz
+        n = dims[0] * dims[1] * dims[2]
         _require(
             len(blob) == n * _RAW_DTYPE.itemsize,
             path,
             f"raw file {raw_name!r} holds {len(blob)} bytes, expected {n * _RAW_DTYPE.itemsize}",
         )
         data = np.frombuffer(blob, dtype=_RAW_DTYPE)  # Volume3 widens it in its one copy
-        return Volume3(dims=(nx, ny, nz), spacing=payload["spacing"], origin=origin, data=data)
+        return Volume3(dims=dims, spacing=spacing, origin=origin, data=data)
 
 
 def volume_raw_name(path: str | os.PathLike) -> str:

@@ -498,6 +498,66 @@ def test_register_trace_naming_the_transform_output_is_refused(tmp_path, capsys,
     assert tree_bytes(tmp_path) == before
 
 
+@pytest.mark.parametrize(
+    "argv, output, source",
+    [
+        (["M.csv", "F.csv", "M.csv"], "M.csv", "M.csv"),
+        (["M.csv", "F.csv", "./F.csv"], "./F.csv", "F.csv"),
+        (["F.csv", "F.csv", "F.csv"], "F.csv", "F.csv"),
+        (["M.csv", "F.csv", "link.csv"], "link.csv", "M.csv"),
+        (["M.csv", "F.csv", "hard.csv"], "hard.csv", "F.csv"),
+        (["M.csv", "F.csv", "t.json", "--refine", "--trace", "M.csv"], "M.csv", "M.csv"),
+        (["M.csv", "F.csv", "t.json", "--refine", "--trace", "sub/../F.csv"], "sub/../F.csv", "F.csv"),
+    ],
+    ids=["out-moving", "out-fixed", "out-both", "out-symlink", "out-hard-link", "trace-moving", "trace-fixed"],
+)
+def test_register_output_naming_an_input_is_refused(tmp_path, capsys, monkeypatch, argv, output, source):
+    _, moving, fixed = case_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    os.rename(moving, "M.csv")
+    os.rename(fixed, "F.csv")
+    os.mkdir("sub")
+    os.symlink("M.csv", "link.csv")
+    os.link("F.csv", "hard.csv")
+    monkeypatch.setattr("landreg.cli.read_points", _never)
+    before = tree_bytes(tmp_path)
+    assert main(["register", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {output}: an output may not overwrite the input {source}\n"
+    assert tree_bytes(tmp_path) == before
+
+
+@pytest.mark.parametrize(
+    "out, data, output, source",
+    [
+        ("mask.json", "mask.raw", "mask.json", "mask.json"),
+        ("./mask.json", "mask.raw", "./mask.json", "mask.json"),
+        ("mask.out", "mask.raw", "mask.raw", "mask.raw"),
+        ("dist.json", "dist.raw", "dist.raw", "dist.raw"),
+        ("payload.bin", "payload.bin", "payload.bin", "payload.bin"),
+    ],
+    ids=["header-header", "header-dot-slash", "raw-raw", "raw-named-by-the-mask", "header-raw"],
+)
+def test_edt_output_naming_the_mask_is_refused(tmp_path, capsys, monkeypatch, out, data, output, source):
+    write_mask(tmp_path / "mask.json", (3, 2, 1), (1, 1, 1), [0])
+    header = json.loads((tmp_path / "mask.json").read_text())
+    os.rename(tmp_path / "mask.raw", tmp_path / data)
+    (tmp_path / "mask.json").write_text(json.dumps({**header, "data": data}))
+    monkeypatch.chdir(tmp_path)
+    before = tree_bytes(tmp_path)
+    with monkeypatch.context() as patch:
+        patch.setattr("landreg.cli.distance_transform", _never)
+        assert main(["edt", "mask.json", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {output}: an output may not overwrite the input {source}\n"
+    assert tree_bytes(tmp_path) == before
+    # the mask is intact: into a free name it gives its distance map
+    assert main(["edt", "mask.json", "free.json"]) == 0
+    assert np.array_equal(read_volume(tmp_path / "free.json").data, np.float32([0, 1, 2, 1, 2 ** 0.5, 5 ** 0.5]))
+
+
 def test_register_help_documents_defaults(capsys):
     texts = []
     for _ in range(2):  # the second call reuses the parser the first one built

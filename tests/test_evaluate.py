@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
+from hypothesis import given, strategies as st
 
 from landreg.core import AffineMatrix, AffineParams9, PointSet, compose, decompose, transform_array
 from landreg.errors import (
@@ -73,6 +74,48 @@ def test_stat_rejects_non_finite_summary(values):
 def test_stat_values_must_be_a_real_array(values):
     with pytest.raises(InvalidParameterError, match="TRE values"):
         TREStat.from_values(values)
+
+
+def check_stat_is_numpys(values):
+    """TREStat's mean and std are np.mean and np.std(ddof=1) to the bit, and it raises where either is not finite."""
+    arr = np.asarray(values, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(arr))
+        std = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
+    if not (math.isfinite(mean) and math.isfinite(std)):
+        with pytest.raises(DegenerateConfigurationError, match="overflows"):
+            TREStat.from_values(values)
+        return
+    stat = TREStat.from_values(values)
+    assert (stat.mean.hex(), stat.std.hex()) == (mean.hex(), std.hex())
+    assert stat.per_case == tuple(arr.tolist())
+
+
+def test_stat_is_numpys_mean_and_std_at_every_size():
+    # sizes 1-300 cross numpy's 8-wide pairwise blocks and its 128-element split
+    rng = np.random.default_rng(29)
+    for size in range(1, 301):
+        for scale in (1e-300, 1e-5, 1.0, 1e5, 1e150, 1e300, 1e307):
+            check_stat_is_numpys(scale * rng.uniform(0.0, 10.0, size))
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=300))
+def test_stat_is_numpys_mean_and_std_on_any_finite_values(values):
+    check_stat_is_numpys(values)
+
+
+def test_tre_is_numpys_mean_and_std_of_the_distances():
+    rng = np.random.default_rng(31)
+    matrix = compose(AffineParams9((1, 2, -3), (0.1, 0.2, -0.1), (1.2, 0.9, 1.0)))
+    for n in (*range(1, 20), 31, 32, 33, 127, 128, 129, 255, 256, 257, 300):
+        moving = rng.uniform(-20, 20, size=(n, 3))
+        fixed = rng.uniform(-20, 20, size=(n, 3))
+        delta = fixed - transform_array(matrix, moving)
+        distances = np.sqrt((delta * delta).sum(axis=1))
+        stat = tre(matrix, PointSet(moving), PointSet(fixed))
+        assert stat.per_case == tuple(distances.tolist())
+        assert stat == TREStat.from_values(distances)
+        check_stat_is_numpys(stat.per_case)
 
 
 def test_stat_format():

@@ -7,14 +7,17 @@ import stat
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from landreg import fileio
 from landreg.core import AffineMatrix, AffineParams9, Point3, PointSet, Volume3, compose
-from landreg.errors import FormatError
+from landreg.cli import main
+from landreg.errors import FormatError, LandregError
 from landreg.fileio import (
     read_points,
     read_transform,
     read_volume,
+    volume_data_path,
     write_points,
     write_trace,
     write_transform,
@@ -87,6 +90,76 @@ def test_points_missing_file_raises_oserror(tmp_path):
         read_points(tmp_path / "nope.csv")
 
 
+# What read_points accepts beyond the files write_points makes.
+
+POINTS = np.array([[1.5, -2.0, 3.25], [0.0, 4.0, -0.5]])
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_points_accept_any_line_ending(tmp_path, ending):
+    path = tmp_path / "pts.csv"
+    path.write_bytes(ending.join(["name,x,y,z", "a,1.5,-2.0,3.25", "b,0,4,-0.5", ""]).encode())
+    back = read_points(path)
+    assert back.names == ("a", "b")
+    assert np.array_equal(back.coords, POINTS)
+
+
+def test_points_quoted_name_may_hold_a_comma(tmp_path):
+    path = tmp_path / "pts.csv"
+    path.write_text('name,x,y,z\n"apex, left",1.5,-2.0,3.25\nb,0,4,-0.5\n')
+    assert read_points(path).names == ("apex, left", "b")
+    write_points(read_points(path), path)
+    assert path.read_text().splitlines()[1] == '"apex, left",1.5,-2.0,3.25'
+
+
+def test_points_skip_blank_lines_and_count_them(tmp_path):
+    path = tmp_path / "pts.csv"
+    path.write_text("name,x,y,z\n\na,1.5,-2.0,3.25\n\n\nb,0,4,-0.5\n\n")
+    back = read_points(path)
+    assert back.names == ("a", "b")
+    assert np.array_equal(back.coords, POINTS)
+    path.write_text("name,x,y,z\n\na,1.5,-2.0,3.25\n\nb,0,4\n")
+    with pytest.raises(FormatError, match="line 5: expected 4 fields, got 3"):
+        read_points(path)
+
+
+def test_points_header_cells_may_carry_spaces(tmp_path):
+    path = tmp_path / "pts.csv"
+    path.write_text(" name , x ,y,  z\na,1.5,-2.0,3.25\nb,0,4,-0.5\n")
+    assert np.array_equal(read_points(path).coords, POINTS)
+
+
+def test_points_with_a_byte_order_mark_is_a_header_error(tmp_path, capsys):
+    path = tmp_path / "pts.csv"
+    path.write_bytes(b"\xef\xbb\xbfname,x,y,z\na,1.5,-2.0,3.25\n")
+    with pytest.raises(FormatError, match=r"expected header 'name,x,y,z', got '\\ufeffname,x,y,z'$"):
+        read_points(path)
+    assert main(["register", str(path), str(path), str(tmp_path / "t.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "expected header" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        (b"b,0,\xff4,-0.5", "'utf-8' codec can't decode byte 0xff in position 31: invalid start byte"),
+        (b"b,0,4\x00,-0.5", "line 3: could not convert string to float: '4\\x00'"),
+    ],
+    ids=["invalid-utf-8", "nul-byte"],
+)
+def test_points_undecodable_content_is_one_error_line(tmp_path, capsys, row, message):
+    moving, fixed = tmp_path / "moving.csv", tmp_path / "fixed.csv"
+    moving.write_bytes(b"name,x,y,z\na,1.5,-2.0,3.25\n" + row + b"\nc,7,0,1\n")
+    write_points(PointSet(np.vstack([POINTS, [7, 0, 1]]), names=("a", "b", "c")), fixed)
+    assert main(["register", str(moving), str(fixed), str(tmp_path / "t.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {moving}: {message}\n"
+    assert not (tmp_path / "t.json").exists()
+
+
 def test_transform_round_trip_with_params(tmp_path):
     path = tmp_path / "t.json"
     params = AffineParams9((1, -2, 3), (0.1, -0.2, 0.3), (1.5, 0.8, 1.1))
@@ -140,6 +213,55 @@ def test_transform_rejects_malformed(tmp_path, text):
     path = tmp_path / "t.json"
     path.write_text(text)
     with pytest.raises(FormatError):
+        read_transform(path)
+
+
+# write_transform formats its JSON directly; these pin it to json's own layout.
+
+
+def json_transform_bytes(matrix, params):
+    payload = {"matrix": [float(v) for v in matrix.matrix.reshape(-1)]}
+    if params is not None:
+        payload["params"] = {"t": list(params.t), "r": list(params.r), "s": list(params.s)}
+    return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+
+
+translations = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1e300, -9.99e299]),
+)
+
+
+@given(
+    t=st.tuples(translations, translations, translations),
+    r=st.tuples(*[st.floats(-3.2, 3.2)] * 3),
+    s=st.tuples(*[st.floats(1e-3, 1e3)] * 3),
+)
+def test_transform_bytes_are_json_dumps_with_indent(tmp_path_factory, t, r, s):
+    params = AffineParams9(t, r, s)
+    try:
+        matrix = compose(params)
+    except LandregError:
+        return  # a transform outside the matrix contract is never written
+    path = tmp_path_factory.mktemp("t") / "t.json"
+    write_transform(matrix, path, params=params)
+    assert path.read_bytes() == json_transform_bytes(matrix, params)
+
+
+def test_sheared_transform_bytes_are_json_dumps_with_indent(tmp_path):
+    path = tmp_path / "t.json"
+    sheared = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, -0.0], [1e-310, 0.0, 3.0]])
+    matrix = AffineMatrix.from_linear_translation(sheared, [1e300, -0.0, 0.1])
+    write_transform(matrix, path)
+    assert path.read_bytes() == json_transform_bytes(matrix, None)
+    assert b'"params"' not in path.read_bytes()
+
+
+@pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_transform_errors_count_lines_as_a_text_mode_read_does(tmp_path, ending):
+    path = tmp_path / "t.json"
+    path.write_bytes(ending.join(["{", '  "matrix": [', "    1.0,", "    oops"]).encode())
+    with pytest.raises(FormatError, match=r"line 4 column 5 \(char 29\)$"):
         read_transform(path)
 
 
@@ -198,6 +320,18 @@ def test_volume_rejects_bad_headers(tmp_path):
         path.write_text(json.dumps(payload))
         with pytest.raises(FormatError):
             read_volume(path)
+
+
+def test_volume_data_path_names_the_raw_file_without_reading_it(tmp_path):
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps(
+        {"dims": [1, 1, 1], "spacing": [1.0, 1.0, 1.0], "origin": [0.0, 0.0, 0.0], "dtype": "f32",
+         "data": "sub/payload.bin"}
+    ))
+    assert volume_data_path(path) == os.path.join(str(tmp_path), "sub/payload.bin")
+    path.write_text(json.dumps({"dims": [1, 1, 1], "data": "v.raw"}))
+    with pytest.raises(FormatError, match="lacks 'spacing'"):
+        volume_data_path(path)
 
 
 def test_volume_header_named_raw_is_refused_before_writing(tmp_path):
