@@ -6,22 +6,71 @@
  * is evaluated in the order of the scalar Python loop kept as the oracle
  * in tests/test_refine.py, and floating-point contraction is off, so the
  * results are bit-identical to that loop's wherever sin, cos and pow come
- * from the libm that Python's math module calls. The Adam update runs in
- * GCC/Clang vector extensions, two parameters a vector; each lane rounds
- * every operation as the scalar loop does.
+ * from the libm that Python's math module calls.
  *
- * theta is (tx, ty, tz, rx, ry, rz, sx, sy, sz); pairs holds n rows
- * (px, py, pz, fx, fy, fz) of moving and fixed coordinates.
+ * The arithmetic runs on 2-lane vectors (GCC/Clang vector extensions), and
+ * each lane rounds every operation as the scalar loop does. One call
+ * refines one case, or two cases with equal landmark counts, one case per
+ * lane. Both come from the same inline code, specialised for a constant
+ * lane count. With two lanes, vector j holds parameter j (and its
+ * gradient and Adam moments) of both cases. With one lane the loss is
+ * computed with the parameters splatted across both lanes, and Adam's
+ * vectors hold the nine parameters in order: vectors 0-3 two each, and
+ * vector 4 parameter 8 in both lanes (the "Adam layout").
+ *
+ * theta is (tx, ty, tz, rx, ry, rz, sx, sy, sz) per case; pairs holds n
+ * rows of moving and fixed coordinates (px, py, pz, fx, fy, fz), each
+ * coordinate given for every lane in turn: (px0, px1, py0, py1, ...) for
+ * two cases.
  */
 
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
 
-/* landreg_refine's status; landreg.refine reads the same values */
+/* a lane's status; landreg.refine reads the same values */
 enum { REFINE_OK = 0, REFINE_NONFINITE_LOSS = 1, REFINE_NONFINITE_ANGLE = 2 };
 
-/* Mean regularized distance at theta; its 9 partial derivatives go to grad.
+typedef double pair __attribute__((vector_size(2 * sizeof(double))));
+
+#define INLINE static inline __attribute__((always_inline))
+/* the loops over lanes and parameters are short, of constant count */
+#define UNROLLED _Pragma("GCC unroll 9")
+
+INLINE pair splat(double value)
+{
+    return (pair){value, value};
+}
+
+INLINE pair sqrt_lanes(pair value)
+{
+    return (pair){sqrt(value[0]), sqrt(value[1])};
+}
+
+/* parameter j of lane l in the Adam layout */
+INLINE double get(const pair *x, int lanes, int j, int l)
+{
+    return lanes == 2 ? x[j][l] : x[j / 2][j % 2];
+}
+
+INLINE void set(pair *x, int lanes, int j, int l, double value)
+{
+    if (lanes == 2)
+        x[j][l] = value;
+    else
+        x[j / 2][j % 2] = value;
+}
+
+/* coordinate c of a pairs row, in both lanes */
+INLINE pair coordinate(const double *row, int c)
+{
+    pair value;
+    memcpy(&value, row + 2 * c, sizeof value);
+    return value;
+}
+
+/* Mean regularized distance at theta, per lane; its 9 partial derivatives
+ * go to grad. theta and grad are in the Adam layout.
  *
  * With g_i the loss gradient at the i-th transformed point and p_i the
  * i-th moving point, the translation gradient is sum(g_i), and every
@@ -30,73 +79,117 @@ enum { REFINE_OK = 0, REFINE_NONFINITE_LOSS = 1, REFINE_NONFINITE_ANGLE = 2 };
  * dR/drx = R Gx, dR/dry = [Rz e_y]x R and dR/drz = Gz R, where G is the
  * generator of the rotation about an axis.
  */
-double landreg_loss_and_gradient(const double *theta, const double *pairs, int64_t n,
-                                 double loss_epsilon, double *grad)
+INLINE pair loss_and_gradient(int lanes, const pair *theta, const double *pairs, int64_t n,
+                              double loss_epsilon, pair *grad)
 {
-    const double tx = theta[0], ty = theta[1], tz = theta[2];
-    const double sx = theta[6], sy = theta[7], sz = theta[8];
+    pair p[9];
+    UNROLLED for (int j = 0; j < 9; j++)
+        p[j] = lanes == 2 ? theta[j] : splat(get(theta, 1, j, 0));
+    const pair tx = p[0], ty = p[1], tz = p[2];
+    const pair sx = p[6], sy = p[7], sz = p[8];
+    pair cx = splat(cos(p[3][0])), snx = splat(sin(p[3][0]));
+    pair cy = splat(cos(p[4][0])), sny = splat(sin(p[4][0]));
+    pair cz = splat(cos(p[5][0])), snz = splat(sin(p[5][0]));
+    if (lanes == 2) {
+        cx[1] = cos(p[3][1]), snx[1] = sin(p[3][1]);
+        cy[1] = cos(p[4][1]), sny[1] = sin(p[4][1]);
+        cz[1] = cos(p[5][1]), snz[1] = sin(p[5][1]);
+    }
     /* landreg.core.rotation: Rz @ Ry @ Rx, row-major */
-    const double cx = cos(theta[3]), snx = sin(theta[3]);
-    const double cy = cos(theta[4]), sny = sin(theta[4]);
-    const double cz = cos(theta[5]), snz = sin(theta[5]);
-    const double r00 = cz * cy, r01 = cz * sny * snx - snz * cx, r02 = cz * sny * cx + snz * snx;
-    const double r10 = snz * cy, r11 = snz * sny * snx + cz * cx, r12 = snz * sny * cx - cz * snx;
-    const double r20 = -sny, r21 = cy * snx, r22 = cy * cx;
+    const pair r00 = cz * cy, r01 = cz * sny * snx - snz * cx, r02 = cz * sny * cx + snz * snx;
+    const pair r10 = snz * cy, r11 = snz * sny * snx + cz * cx, r12 = snz * sny * cx - cz * snx;
+    const pair r20 = -sny, r21 = cy * snx, r22 = cy * cx;
     /* linear part R @ diag(s) */
-    const double a00 = r00 * sx, a01 = r01 * sy, a02 = r02 * sz;
-    const double a10 = r10 * sx, a11 = r11 * sy, a12 = r12 * sz;
-    const double a20 = r20 * sx, a21 = r21 * sy, a22 = r22 * sz;
+    const pair a00 = r00 * sx, a01 = r01 * sy, a02 = r02 * sz;
+    const pair a10 = r10 * sx, a11 = r11 * sy, a12 = r12 * sz;
+    const pair a20 = r20 * sx, a21 = r21 * sy, a22 = r22 * sz;
 
-    double total = 0.0, gx = 0.0, gy = 0.0, gz = 0.0;
-    double h00 = 0.0, h01 = 0.0, h02 = 0.0, h10 = 0.0, h11 = 0.0, h12 = 0.0, h20 = 0.0, h21 = 0.0, h22 = 0.0;
+    const pair count = splat((double)n), epsilon = splat(loss_epsilon);
+    pair total = splat(0.0), gx = total, gy = total, gz = total;
+    pair h00 = total, h01 = total, h02 = total, h10 = total, h11 = total, h12 = total, h20 = total, h21 = total,
+         h22 = total;
     for (int64_t i = 0; i < n; i++) {
-        const double *row = pairs + 6 * i;
-        const double px = row[0], py = row[1], pz = row[2];
-        const double ex = row[3] - (a00 * px + a01 * py + a02 * pz + tx);
-        const double ey = row[4] - (a10 * px + a11 * py + a12 * pz + ty);
-        const double ez = row[5] - (a20 * px + a21 * py + a22 * pz + tz);
-        const double dist = sqrt(ex * ex + ey * ey + ez * ez + loss_epsilon);
+        const double *row = pairs + 12 * i;
+        const pair px = coordinate(row, 0), py = coordinate(row, 1), pz = coordinate(row, 2);
+        const pair ex = coordinate(row, 3) - (a00 * px + a01 * py + a02 * pz + tx);
+        const pair ey = coordinate(row, 4) - (a10 * px + a11 * py + a12 * pz + ty);
+        const pair ez = coordinate(row, 5) - (a20 * px + a21 * py + a22 * pz + tz);
+        const pair dist = sqrt_lanes(ex * ex + ey * ey + ez * ez + epsilon);
         total += dist;
         /* d(loss)/d(predicted_i) = -resid_i / (n * dist_i) */
-        const double nd = n * dist;
-        const double ux = -ex / nd, uy = -ey / nd, uz = -ez / nd;
-        gx += ux;
-        gy += uy;
+        const pair nd = count * dist;
+        const pair uz = -ez / nd;
+        if (lanes == 2) {
+            const pair ux = -ex / nd, uy = -ey / nd;
+            gx += ux;
+            gy += uy;
+            h00 += ux * px;
+            h01 += ux * py;
+            h02 += ux * pz;
+            h10 += uy * px;
+            h11 += uy * py;
+            h12 += uy * pz;
+        } else {
+            /* one case: its x and y terms share the lanes of gx, h00, h01 and h02 */
+            const pair uxy = -(pair){ex[0], ey[0]} / nd;
+            gx += uxy;
+            h00 += uxy * px;
+            h01 += uxy * py;
+            h02 += uxy * pz;
+        }
         gz += uz;
-        h00 += ux * px;
-        h01 += ux * py;
-        h02 += ux * pz;
-        h10 += uy * px;
-        h11 += uy * py;
-        h12 += uy * pz;
         h20 += uz * px;
         h21 += uz * py;
         h22 += uz * pz;
     }
+    if (lanes == 1) {
+        gy = splat(gx[1]), gx = splat(gx[0]);
+        h10 = splat(h00[1]), h00 = splat(h00[0]);
+        h11 = splat(h01[1]), h01 = splat(h01[0]);
+        h12 = splat(h02[1]), h02 = splat(h02[0]);
+    }
 
     /* M = H @ diag(s), the gradient with respect to R */
-    const double m00 = h00 * sx, m01 = h01 * sy, m02 = h02 * sz;
-    const double m10 = h10 * sx, m11 = h11 * sy, m12 = h12 * sz;
-    const double m20 = h20 * sx, m21 = h21 * sy, m22 = h22 * sz;
-    grad[0] = gx;
-    grad[1] = gy;
-    grad[2] = gz;
-    grad[3] = (r02 * m01 + r12 * m11 + r22 * m21) - (r01 * m02 + r11 * m12 + r21 * m22);
-    grad[4] = cz * (r20 * m00 + r21 * m01 + r22 * m02)
-              + snz * (r20 * m10 + r21 * m11 + r22 * m12)
-              - ((cz * r00 + snz * r10) * m20 + (cz * r01 + snz * r11) * m21 + (cz * r02 + snz * r12) * m22);
-    grad[5] = (r00 * m10 + r01 * m11 + r02 * m12) - (r10 * m00 + r11 * m01 + r12 * m02);
-    grad[6] = r00 * h00 + r10 * h10 + r20 * h20;
-    grad[7] = r01 * h01 + r11 * h11 + r21 * h21;
-    grad[8] = r02 * h02 + r12 * h12 + r22 * h22;
-    return total / n;
+    const pair m00 = h00 * sx, m01 = h01 * sy, m02 = h02 * sz;
+    const pair m10 = h10 * sx, m11 = h11 * sy, m12 = h12 * sz;
+    const pair m20 = h20 * sx, m21 = h21 * sy, m22 = h22 * sz;
+    const pair g[9] = {
+        gx,
+        gy,
+        gz,
+        (r02 * m01 + r12 * m11 + r22 * m21) - (r01 * m02 + r11 * m12 + r21 * m22),
+        cz * (r20 * m00 + r21 * m01 + r22 * m02)
+            + snz * (r20 * m10 + r21 * m11 + r22 * m12)
+            - ((cz * r00 + snz * r10) * m20 + (cz * r01 + snz * r11) * m21 + (cz * r02 + snz * r12) * m22),
+        (r00 * m10 + r01 * m11 + r02 * m12) - (r10 * m00 + r11 * m01 + r12 * m02),
+        r00 * h00 + r10 * h10 + r20 * h20,
+        r01 * h01 + r11 * h11 + r21 * h21,
+        r02 * h02 + r12 * h12 + r22 * h22,
+    };
+    if (lanes == 2) {
+        UNROLLED for (int j = 0; j < 9; j++)
+            grad[j] = g[j];
+    } else {
+        /* whole vectors: a vector read back from two 8-byte stores stalls */
+        UNROLLED for (int j = 0; j < 4; j++)
+            grad[j] = (pair){g[2 * j][0], g[2 * j + 1][0]};
+        grad[4] = g[8];
+    }
+    return total / count;
 }
 
-/* Python's math.cos and math.sin raise on an infinite angle where libm
- * returns nan; the loop stops there with its own status instead. */
-static int angles_finite(const double *theta)
+/* The loss and gradient of one case, for landreg.refine.loss and loss_gradient */
+double landreg_loss_and_gradient(const double *theta, const double *pairs, int64_t n, double loss_epsilon,
+                                 double *grad)
 {
-    return !isinf(theta[3]) && !isinf(theta[4]) && !isinf(theta[5]);
+    pair x[5], g[5];
+    UNROLLED for (int j = 0; j < 9; j++)
+        set(x, 1, j, 0, theta[j]);
+    x[4][1] = theta[8];
+    const pair value = loss_and_gradient(1, x, pairs, n, loss_epsilon, g);
+    UNROLLED for (int j = 0; j < 9; j++)
+        grad[j] = get(g, 1, j, 0);
+    return value[0];
 }
 
 /* Adam's bias corrections 1 - beta^k for k = 1 .. count, into table.
@@ -113,121 +206,172 @@ int64_t landreg_bias_corrections(double beta, int64_t count, double *table)
     return count;
 }
 
-typedef double pair __attribute__((vector_size(2 * sizeof(double))));
-
 /* The constants of one Adam step */
 struct adam {
     double beta1, beta2, keep1, keep2, step_size, epsilon;
 };
 
-static pair splat(double value)
-{
-    return (pair){value, value};
-}
-
-static pair sqrt_pair(pair value)
-{
-    return (pair){sqrt(value[0]), sqrt(value[1])};
-}
-
-/* One Adam update of the nine parameters: x[0..7] as four pairs, x[8]
- * alone. correction1 divides the first moment only while `corrected`;
- * once it is 1.0 the division is left out, as m / 1.0 == m. */
-static inline void adam_update(const struct adam *a, double *x, pair *m, pair *v, double *m8, double *v8,
-                               const double *grad, double correction1, double correction2, int corrected)
+/* One Adam update of the Adam layout's vectors. correction1 divides the
+ * first moment only while `corrected`; once it is 1.0 the division is
+ * left out, as m / 1.0 == m. */
+INLINE void adam_update(const struct adam *a, int vectors, pair *x, pair *m, pair *v, const pair *grad,
+                        double correction1, double correction2, int corrected)
 {
     const pair beta1 = splat(a->beta1), beta2 = splat(a->beta2), keep1 = splat(a->keep1), keep2 = splat(a->keep2);
     const pair step_size = splat(a->step_size), epsilon = splat(a->epsilon);
     const pair correction1_ = splat(correction1), correction2_ = splat(correction2);
-    for (int j = 0; j < 4; j++) {
-        pair g, xj;
-        memcpy(&g, grad + 2 * j, sizeof g);
-        memcpy(&xj, x + 2 * j, sizeof xj);
+    UNROLLED for (int j = 0; j < vectors; j++) {
+        const pair g = grad[j];
         m[j] = beta1 * m[j] + keep1 * g;
         v[j] = beta2 * v[j] + keep2 * g * g;
         pair m_hat = m[j];
         if (corrected)
             m_hat = m_hat / correction1_;
-        xj = xj - step_size * m_hat / (sqrt_pair(v[j] / correction2_) + epsilon);
-        memcpy(x + 2 * j, &xj, sizeof xj);
+        x[j] = x[j] - step_size * m_hat / (sqrt_lanes(v[j] / correction2_) + epsilon);
     }
-    const double g = grad[8];
-    *m8 = a->beta1 * *m8 + a->keep1 * g;
-    *v8 = a->beta2 * *v8 + a->keep2 * g * g;
-    double m_hat = *m8;
-    if (corrected)
-        m_hat = m_hat / correction1;
-    x[8] = x[8] - a->step_size * m_hat / (sqrt(*v8 / correction2) + a->epsilon);
 }
 
-/* Bias-corrected Adam descent of the loss for `iterations` steps.
+/* Python's math.cos and math.sin raise on an infinite angle where libm
+ * returns nan; a lane stops there with its own status instead. */
+INLINE int angles_finite(const pair *x, int lanes, int l)
+{
+    return !isinf(get(x, lanes, 3, l)) && !isinf(get(x, lanes, 4, l)) && !isinf(get(x, lanes, 5, l));
+}
+
+/* a reflected iterate may fit better but lies outside the family */
+INLINE int scales_positive(const pair *x, int lanes, int l)
+{
+    return get(x, lanes, 6, l) > 0 && get(x, lanes, 7, l) > 0 && get(x, lanes, 8, l) > 0;
+}
+
+/* landreg_refine for a constant lane count.
+ *
+ * A lane that fails stops being traced and taking best iterates; its
+ * arithmetic runs on (on NaNs, as every gradient entry of a non-finite
+ * loss is NaN) until the other lane is done, and never touches that lane.
+ */
+INLINE int64_t refine_lanes(int lanes, const double *pairs, int64_t n, double *theta, int64_t iterations,
+                            const struct adam *a, double loss_epsilon, int64_t trace_stride,
+                            const double *corrections1, int64_t count1, const double *corrections2,
+                            int64_t count2, int64_t *trace_iterations, double *trace_losses, double *losses,
+                            int64_t *outcome)
+{
+    const int vectors = lanes == 2 ? 9 : 5, all = (1 << lanes) - 1;
+    pair x[9], best[9], grad[9], m[9], v[9];
+    double best_loss[2];
+    int64_t best_iteration[2];
+
+    UNROLLED for (int l = 0; l < lanes; l++)
+        UNROLLED for (int j = 0; j < 9; j++)
+            set(x, lanes, j, l, theta[9 * l + j]);
+    if (lanes == 1)
+        x[4][1] = x[4][0];
+    UNROLLED for (int j = 0; j < vectors; j++) {
+        m[j] = v[j] = splat(0.0);
+        best[j] = x[j];
+    }
+
+    /* a start is finite: refine takes it from validated parameters */
+    pair value = loss_and_gradient(lanes, x, pairs, n, loss_epsilon, grad);
+    int live = 0; /* bit l: lane l is still descending */
+    UNROLLED for (int l = 0; l < lanes; l++) {
+        losses[2 * l] = best_loss[l] = value[l];
+        best_iteration[l] = 0;
+        outcome[2 * l] = REFINE_NONFINITE_LOSS;
+        outcome[2 * l + 1] = 0;
+        if (isfinite(value[l]))
+            live |= 1 << l;
+        trace_losses[l] = value[l];
+    }
+    trace_iterations[0] = 0;
+    int64_t samples = 1, next_stride = trace_stride;
+
+    for (int64_t k = 1; live && k <= iterations; k++) {
+        const double correction2 = k <= count2 ? corrections2[k - 1] : 1.0;
+        if (k <= count1)
+            adam_update(a, vectors, x, m, v, grad, corrections1[k - 1], correction2, 1);
+        else
+            adam_update(a, vectors, x, m, v, grad, 1.0, correction2, 0);
+
+        UNROLLED for (int l = 0; l < lanes; l++)
+            if ((live >> l & 1) && !angles_finite(x, lanes, l)) {
+                outcome[2 * l] = REFINE_NONFINITE_ANGLE;
+                outcome[2 * l + 1] = k;
+                live &= ~(1 << l);
+            }
+        if (!live)
+            break;
+        value = loss_and_gradient(lanes, x, pairs, n, loss_epsilon, grad);
+        int improved = 0;
+        UNROLLED for (int l = 0; l < lanes; l++) {
+            if (!(live >> l & 1))
+                continue;
+            if (!isfinite(value[l])) {
+                outcome[2 * l + 1] = k; /* outcome[2 * l] is REFINE_NONFINITE_LOSS */
+                live &= ~(1 << l);
+            } else if (value[l] < best_loss[l] && scales_positive(x, lanes, l)) {
+                best_loss[l] = value[l];
+                best_iteration[l] = k;
+                improved |= 1 << l;
+            }
+        }
+        if (improved == all) {
+            UNROLLED for (int j = 0; j < vectors; j++)
+                best[j] = x[j];
+        } else if (improved) { /* one lane of two */
+            const int l = improved >> 1;
+            UNROLLED for (int j = 0; j < 9; j++)
+                set(best, lanes, j, l, get(x, lanes, j, l));
+        }
+        /* iterations 1, every trace_stride-th and the last */
+        const int stride = k == next_stride;
+        if (k == 1 || stride || k == iterations) {
+            trace_iterations[samples] = k;
+            UNROLLED for (int l = 0; l < lanes; l++)
+                trace_losses[lanes * samples + l] = value[l];
+            samples++;
+        }
+        next_stride += stride ? trace_stride : 0;
+    }
+
+    UNROLLED for (int l = 0; l < lanes; l++) {
+        if (!(live >> l & 1))
+            continue;
+        UNROLLED for (int j = 0; j < 9; j++)
+            theta[9 * l + j] = get(best, lanes, j, l);
+        losses[2 * l + 1] = best_loss[l];
+        outcome[2 * l] = REFINE_OK;
+        outcome[2 * l + 1] = best_iteration[l];
+    }
+    return samples;
+}
+
+/* Bias-corrected Adam descent of the loss for `iterations` steps, of one
+ * case or, with lanes == 2, of two cases with n landmarks each.
  *
  * corrections1 and corrections2 hold the bias corrections 1 - beta1^k and
  * 1 - beta2^k for k = 1, 2, ..., count1 and count2 of them (as
  * landreg_bias_corrections writes them); past its end a correction is
- * exactly 1.0. On entry theta is the start; on return it is the best
- * iterate inside the family (all scales positive, the start included).
- * losses receives (initial, best). trace_iterations and trace_losses
- * receive the samples at iterations 0, 1, every trace_stride-th and the
- * last; *trace_count their number. *at is the best iteration, or on
- * failure the iteration that failed.
+ * exactly 1.0. theta holds lanes rows of 9 parameters: on entry the
+ * starts, on return, for each lane that succeeded, the best iterate
+ * inside the family (all scales positive, the start included).
+ * trace_iterations receives iterations 0, 1, every trace_stride-th and
+ * the last, and trace_losses (one row per iteration) each lane's loss
+ * there; the return value is their number. losses (lanes rows) receives
+ * each lane's (initial, best) loss, and outcome (lanes rows) its (status,
+ * iteration): the best iteration, or on failure the iteration that
+ * failed. A failed lane's theta, best loss and trace are left undefined.
  */
-int landreg_refine(const double *pairs, int64_t n, double *theta, int64_t iterations,
-                   double step_size, double beta1, double beta2, double epsilon,
-                   double loss_epsilon, int64_t trace_stride,
-                   const double *corrections1, int64_t count1,
-                   const double *corrections2, int64_t count2,
-                   int64_t *trace_iterations, double *trace_losses, int64_t *trace_count,
-                   double *losses, int64_t *at)
+int64_t landreg_refine(int64_t lanes, const double *pairs, int64_t n, double *theta, int64_t iterations,
+                       double step_size, double beta1, double beta2, double epsilon, double loss_epsilon,
+                       int64_t trace_stride, const double *corrections1, int64_t count1,
+                       const double *corrections2, int64_t count2, int64_t *trace_iterations,
+                       double *trace_losses, double *losses, int64_t *outcome)
 {
     const struct adam a = {beta1, beta2, 1.0 - beta1, 1.0 - beta2, step_size, epsilon};
-    double x[9], best[9], grad[9], m8 = 0.0, v8 = 0.0;
-    pair m[4] = {{0.0}}, v[4] = {{0.0}};
-    int64_t samples = 0;
-
-    /* the start is finite: refine takes it from validated parameters */
-    *at = 0;
-    double value = landreg_loss_and_gradient(theta, pairs, n, loss_epsilon, grad);
-    if (!isfinite(value))
-        return REFINE_NONFINITE_LOSS;
-    for (int i = 0; i < 9; i++)
-        x[i] = best[i] = theta[i];
-    double best_loss = value;
-    int64_t best_iteration = 0;
-    losses[0] = value;
-    trace_iterations[samples] = 0;
-    trace_losses[samples++] = value;
-
-    for (int64_t k = 1; k <= iterations; k++) {
-        const double correction2 = k <= count2 ? corrections2[k - 1] : 1.0;
-        if (k <= count1)
-            adam_update(&a, x, m, v, &m8, &v8, grad, corrections1[k - 1], correction2, 1);
-        else
-            adam_update(&a, x, m, v, &m8, &v8, grad, 1.0, correction2, 0);
-
-        *at = k;
-        if (!angles_finite(x))
-            return REFINE_NONFINITE_ANGLE;
-        value = landreg_loss_and_gradient(x, pairs, n, loss_epsilon, grad);
-        if (!isfinite(value))
-            return REFINE_NONFINITE_LOSS;
-        /* a reflected iterate may fit better but lies outside the family */
-        if (value < best_loss && x[6] > 0 && x[7] > 0 && x[8] > 0) {
-            best_loss = value;
-            for (int i = 0; i < 9; i++)
-                best[i] = x[i];
-            best_iteration = k;
-        }
-        if (k == 1 || k % trace_stride == 0 || k == iterations) {
-            trace_iterations[samples] = k;
-            trace_losses[samples++] = value;
-        }
-    }
-
-    for (int i = 0; i < 9; i++)
-        theta[i] = best[i];
-    losses[1] = best_loss;
-    *trace_count = samples;
-    *at = best_iteration;
-    return REFINE_OK;
+    if (lanes == 2)
+        return refine_lanes(2, pairs, n, theta, iterations, &a, loss_epsilon, trace_stride, corrections1,
+                            count1, corrections2, count2, trace_iterations, trace_losses, losses, outcome);
+    return refine_lanes(1, pairs, n, theta, iterations, &a, loss_epsilon, trace_stride, corrections1, count1,
+                        corrections2, count2, trace_iterations, trace_losses, losses, outcome);
 }

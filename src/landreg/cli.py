@@ -24,11 +24,12 @@ from .core import Point3, Volume3, compose, decompose
 from .errors import FormatError, LandregError
 from .evaluate import METHODS, compare_methods, tre
 from .fileio import (
+    VolumeHeader,
     _decoding,
     read_points,
     read_transform,
     read_volume,
-    volume_data_path,
+    read_volume_header,
     volume_raw_name,
     write_file,
     write_trace,
@@ -37,7 +38,7 @@ from .fileio import (
 )
 from .landmarks import BinaryMask, distance_transform, extract_extremes, make_label, recover_landmark
 from .refine import TRACE_STRIDE, RefineConfig, refine
-from .synth import SCALE_MODES, SynthConfig, generate_cases, load_cases, save_cases
+from .synth import SCALE_MODES, SynthConfig, case_files, generate_cases, load_cases, save_cases
 from .umeyama import umeyama_fit
 
 _AXES = {"x": 0, "y": 1, "z": 2}
@@ -73,17 +74,19 @@ def _methods_arg(text: str) -> tuple[str, ...]:
     return names
 
 
-def _read_mask(path: str) -> BinaryMask:
-    """Read a volume as a binary mask; values outside {0, 1} are a format error."""
+def _read_mask(path: str, header: VolumeHeader | None = None) -> BinaryMask:
+    """Read a volume as a binary mask; values outside {0, 1} are a format error.
+    ``header`` is the volume's header, if read already."""
     with _decoding(path):
-        return BinaryMask(read_volume(path))
+        return BinaryMask(read_volume(path, header))
 
 
 def cmd_edt(args: argparse.Namespace) -> None:
     # refuse a bad output name, or one that would overwrite the mask, before the work
     out_raw = os.path.join(os.path.dirname(args.out), volume_raw_name(args.out))
-    _refuse_to_overwrite((args.out, out_raw), (args.mask, volume_data_path(args.mask)))
-    write_volume(distance_transform(_read_mask(args.mask)), args.out)
+    header = read_volume_header(args.mask)
+    _refuse_to_overwrite((args.out, out_raw), (args.mask, header.data_path))
+    write_volume(distance_transform(_read_mask(args.mask, header)), args.out)
 
 
 def cmd_make_label(args: argparse.Namespace) -> None:
@@ -92,10 +95,11 @@ def cmd_make_label(args: argparse.Namespace) -> None:
     write_volume(make_label(Point3(*args.landmark), template), args.out)
 
 
-def _same_file(a: str, b: str) -> bool:
-    """Whether two paths name one file: on disk when both exist, else by their real paths."""
+def _same_file(a: str, b: str, a_stat: os.stat_result | None = None) -> bool:
+    """Whether two paths name one file: on disk when both exist, else by their real paths.
+    ``a_stat`` is ``os.stat(a)``, if taken already."""
     try:
-        return os.path.samefile(a, b)
+        return os.path.samestat(a_stat or os.stat(a), os.stat(b))
     except OSError:  # one of them does not exist yet
         return os.path.realpath(a) == os.path.realpath(b)
 
@@ -103,8 +107,12 @@ def _same_file(a: str, b: str) -> bool:
 def _refuse_to_overwrite(outputs: tuple[str, ...], inputs: tuple[str, ...]) -> None:
     """Raise :class:`FormatError` if an output path names one of the input files."""
     for output in outputs:
+        try:
+            output_stat = os.stat(output)  # once, however many inputs
+        except OSError:
+            output_stat = None
         for source in inputs:
-            if _same_file(output, source):
+            if _same_file(output, source, output_stat):
                 raise FormatError(f"{output}: an output may not overwrite the input {source}")
 
 
@@ -165,6 +173,9 @@ def cmd_synth(args: argparse.Namespace) -> None:
 
 def cmd_compare(args: argparse.Namespace) -> None:
     cases = load_cases(args.case_dir)
+    if args.csv:
+        # refuse before the work, so the table overwrites no landmark file that was read
+        _refuse_to_overwrite((args.csv,), tuple(path for case in cases for path in case_files(args.case_dir, case)))
     comparison = compare_methods(cases, {name: METHODS[name] for name in args.methods})
     if args.csv:
         write_file(args.csv, comparison.to_csv().encode("utf-8"))

@@ -35,11 +35,13 @@ from .errors import (
     InvalidParameterError,
     LandregError,
 )
-from .refine import RefineConfig, refine
+# refine stays bound here: bench/tracing.py wraps landreg.evaluate.refine by name
+from .refine import RefineConfig, refine, refine_many
 from .umeyama import umeyama_fit
 
-# A registration method's fitter: (moving, fixed) to a transform.
-Fitter = Callable[[PointSet, PointSet], AffineMatrix]
+# A registration method's fitter: the fitting landmarks of a few cases, as
+# their moving and fixed sets in case order, to one transform per case.
+Fitter = Callable[[Sequence[PointSet], Sequence[PointSet]], list[AffineMatrix]]
 
 
 @dataclass(frozen=True)
@@ -231,16 +233,22 @@ def paired_ttest(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
     return t, p
 
 
-def refined_fit(moving: PointSet, fixed: PointSet, config: RefineConfig | None = None) -> AffineMatrix:
-    """Similarity fit followed by Adam refinement of all nine parameters."""
-    start = decompose(umeyama_fit(moving, fixed))
-    return compose(refine(start, moving, fixed, config).params)
+def refined_fit(movings: Sequence[PointSet], fixeds: Sequence[PointSet],
+                config: RefineConfig | None = None) -> list[AffineMatrix]:
+    """Similarity fit followed by Adam refinement of all nine parameters, case by case.
+
+    Consecutive cases with equal landmark counts refine two at a time
+    (:func:`~landreg.refine.refine_many`); each transform is the one a
+    one-case call gives, bit for bit.
+    """
+    starts = [decompose(umeyama_fit(moving, fixed)) for moving, fixed in zip(movings, fixeds)]
+    return [compose(result.params) for result in refine_many(starts, movings, fixeds, config)]
 
 
 # The registration methods by name, in the order ``compare`` runs them by default.
 METHODS: dict[str, Fitter] = {
-    "identity": lambda moving, fixed: AffineMatrix.identity(),
-    "umeyama": umeyama_fit,
+    "identity": lambda movings, fixeds: [AffineMatrix.identity() for _ in movings],
+    "umeyama": lambda movings, fixeds: list(map(umeyama_fit, movings, fixeds)),
     "umeyama+refine": refined_fit,
 }
 
@@ -312,33 +320,47 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_case(case: EvalCase, methods: Mapping[str, Fitter]) -> list[RegistrationReport]:
-    """Every method on one case: its transform, fit TRE and hold-out TRE.
+def _run_cases(cases: Sequence[EvalCase], methods: Mapping[str, Fitter]) -> list[RegistrationReport]:
+    """Every method on a few consecutive cases: each transform, fit TRE and
+    hold-out TRE, case by case and, within a case, method by method.
 
-    A library error is re-raised as the same object, its message prefixed
-    with the case id and method name.
+    Each fitter takes all the cases in one call. If any call raises, the
+    cases run again one at a time, so the error raised is the one a serial
+    run meets first. On one case, a library error is re-raised as the same
+    object, its message prefixed with the case id and method name.
     """
-    reports = []
+    if len(cases) > 1:
+        try:
+            return _fit_cases(cases, methods)
+        except Exception:  # whichever case raised, the serial rerun raises its error
+            pass
+    return [report for case in cases for report in _fit_cases((case,), methods)]
+
+
+def _fit_cases(cases: Sequence[EvalCase], methods: Mapping[str, Fitter]) -> list[RegistrationReport]:
+    """:func:`_run_cases` without the rerun; errors are tagged only for one case."""
+    movings, fixeds = [case.moving for case in cases], [case.fixed for case in cases]
+    per_case: list[list[RegistrationReport]] = [[] for _ in cases]
     for name, fitter in methods.items():
         try:
-            transform = fitter(case.moving, case.fixed)
-            fit_stat = tre(transform, case.moving, case.fixed)
-            holdout_stat = None
-            if case.moving_eval is not None:
-                holdout_stat = tre(transform, case.moving_eval, case.fixed_eval)
+            transforms = fitter(movings, fixeds)
+            for case, transform, reports in zip(cases, transforms, per_case, strict=True):
+                fit_stat = tre(transform, case.moving, case.fixed)
+                holdout_stat = None
+                if case.moving_eval is not None:
+                    holdout_stat = tre(transform, case.moving_eval, case.fixed_eval)
+                reports.append(RegistrationReport(
+                    case_id=case.case_id,
+                    method=name,
+                    transform=transform,
+                    fit_tre=fit_stat,
+                    holdout_tre=holdout_stat,
+                ))
         except LandregError as exc:
-            exc.args = (f"[case {case.case_id}, method {name}] {exc}",)
+            if len(cases) == 1:
+                exc.args = (f"[case {cases[0].case_id}, method {name}] {exc}",)
             raise
-        reports.append(
-            RegistrationReport(
-                case_id=case.case_id,
-                method=name,
-                transform=transform,
-                fit_tre=fit_stat,
-                holdout_tre=holdout_stat,
-            )
-        )
-    return reports
+    return [report for reports in per_case for report in reports]
 
 
 def compare_methods(cases: Sequence[EvalCase], methods: Mapping[str, Fitter]) -> MethodComparison:
@@ -355,11 +377,14 @@ def compare_methods(cases: Sequence[EvalCase], methods: Mapping[str, Fitter]) ->
 
     Cases run on a pool of threads, one per usable CPU capped at the
     number of cases, so fitters may be called from several threads at
-    once. Reports are assembled in case order, so the result equals a
-    serial run. The error of the first failing case in case order is
-    raised: a library error as the same object, its message prefixed with
-    the case id and method name; any other exception untouched. Ordering is
-    deterministic: cases and methods in the given order.
+    once. Each task hands a fitter one case, or two consecutive ones, so
+    equal-sized cases refine two at a time; cases pair only while the
+    tasks still outnumber or match the threads. Reports are assembled in
+    case order, so the result equals a serial run. The error of the first
+    failing case in case order is raised: a library error as the same
+    object, its message prefixed with the case id and method name; any
+    other exception untouched. Ordering is deterministic: cases and methods
+    in the given order.
     """
     if not cases:
         raise InsufficientSampleError("compare_methods needs at least one case")
@@ -368,9 +393,12 @@ def compare_methods(cases: Sequence[EvalCase], methods: Mapping[str, Fitter]) ->
 
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(min(len(cases), _usable_cpus())) as pool:
-        per_case = list(pool.map(_run_case, cases, itertools.repeat(methods)))
-    reports = [report for case_reports in per_case for report in case_reports]
+    workers = min(len(cases), _usable_cpus())
+    pairs = min(len(cases) // 2, len(cases) - workers)  # so that no fewer tasks than workers remain
+    chunks = [cases[i:i + 2] for i in range(0, 2 * pairs, 2)] + [cases[i:i + 1] for i in range(2 * pairs, len(cases))]
+    with ThreadPoolExecutor(workers) as pool:
+        per_chunk = list(pool.map(_run_cases, chunks, itertools.repeat(methods)))
+    reports = [report for chunk_reports in per_chunk for report in chunk_reports]
 
     fit = {name: TREStat.from_values([r.fit_tre.mean for r in reports if r.method == name]) for name in methods}
     holdout: dict[str, TREStat] = {}

@@ -19,7 +19,7 @@ import json
 import os
 import stat
 from contextlib import contextmanager, suppress
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -188,8 +188,18 @@ def write_transform(
     write_file(path, (text + "\n}\n").encode("ascii"))
 
 
-def _read_volume_header(path: str | os.PathLike) -> tuple[tuple[int, int, int], object, Point3, str]:
-    """The dims, spacing (checked by :class:`Volume3`), origin and ``data`` name of a volume header."""
+class VolumeHeader(NamedTuple):
+    """A volume header as :func:`read_volume_header` reads and checks it."""
+
+    dims: tuple[int, int, int]
+    spacing: object  # checked by Volume3
+    origin: Point3
+    raw_name: str  # the ``data`` entry
+    data_path: str  # ``raw_name`` resolved against the header's directory
+
+
+def read_volume_header(path: str | os.PathLike) -> VolumeHeader:
+    """Read and check the volume header at ``path``, as :func:`read_volume` does; the raw file is not opened."""
     with _decoding(path):
         payload = _read_json(path)
         _require(isinstance(payload, dict), path, "volume header must be a JSON object")
@@ -210,28 +220,21 @@ def _read_volume_header(path: str | os.PathLike) -> tuple[tuple[int, int, int], 
             path,
             f"'data' must be a relative path inside the header's directory, got {raw_name!r}",
         )
-        return dims, payload["spacing"], origin, raw_name
+        data_path = os.path.join(os.path.dirname(os.fspath(path)), raw_name)
+        return VolumeHeader(dims, payload["spacing"], origin, raw_name, data_path)
 
 
-def volume_data_path(path: str | os.PathLike) -> str:
-    """The path of the raw file that the volume header at ``path`` names.
-
-    The header is read and checked as :func:`read_volume` checks it; the
-    raw file itself is not opened.
-    """
-    return os.path.join(os.path.dirname(os.fspath(path)), _read_volume_header(path)[3])
-
-
-def read_volume(path: str | os.PathLike) -> Volume3:
+def read_volume(path: str | os.PathLike, header: VolumeHeader | None = None) -> Volume3:
     """Read a volume JSON header and its raw little-endian float32 payload.
 
     The ``data`` path is relative and resolved against the header's
     directory; a path that is absolute or leaves that directory is a
-    :class:`FormatError`.
+    :class:`FormatError`. A caller that has read the header at ``path``
+    already passes it as ``header``, and it is not read again.
     """
-    dims, spacing, origin, raw_name = _read_volume_header(path)
+    dims, spacing, origin, raw_name, data_path = header if header is not None else read_volume_header(path)
     with _decoding(path):
-        with open(os.path.join(os.path.dirname(os.fspath(path)), raw_name), "rb") as fh:
+        with open(data_path, "rb") as fh:
             blob = fh.read()
         n = dims[0] * dims[1] * dims[2]
         _require(

@@ -12,8 +12,10 @@ The loss, its gradient and the Adam loop run in one C kernel,
 ``_refine.c``, built with the system C compiler on the first call and
 cached beside this module (``_native`` builds and loads it). It reproduces
 the scalar float arithmetic of a plain Python loop operation for
-operation, so its results are bit-identical to that loop's. Adam's bias
-corrections come from tables the kernel fills on a process's first call.
+operation, so its results are bit-identical to that loop's. One kernel
+call refines one case, or two cases of equal landmark count, one per lane
+of 2-double vectors (:func:`refine_many`). Adam's bias corrections come
+from tables the kernel fills on a process's first call.
 """
 
 from __future__ import annotations
@@ -21,11 +23,12 @@ from __future__ import annotations
 import ctypes
 import functools
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .core import AffineParams9, PointSet, require_correspondence, require_integer, require_real
-from .errors import DivergenceError, InvalidParameterError
+from .errors import CorrespondenceError, DivergenceError, InvalidParameterError
 
 TRACE_STRIDE = 100
 
@@ -81,9 +84,15 @@ class RefineResult:
     best_iteration: int
 
 
-def _pairs(moving: PointSet, fixed: PointSet) -> np.ndarray:
-    """Correspondences as C-contiguous rows (px, py, pz, fx, fy, fz)."""
-    return np.hstack((moving.coords, fixed.coords))
+def _pairs(movings: Sequence[PointSet], fixeds: Sequence[PointSet]) -> np.ndarray:
+    """Correspondences as the kernel reads them: C-contiguous rows (px, py,
+    pz, fx, fy, fz), each coordinate given for both vector lanes in turn.
+    Two cases fill one lane each; one case fills both."""
+    rows = np.empty((len(movings[0]), 6, 2))
+    for lane in (0, 1):
+        rows[:, :3, lane] = movings[lane % len(movings)].coords
+        rows[:, 3:, lane] = fixeds[lane % len(fixeds)].coords
+    return rows
 
 
 # landreg_refine's status codes, as _refine.c defines them
@@ -106,10 +115,10 @@ def _kernel() -> ctypes.CDLL:
     lib.landreg_bias_corrections.argtypes = (ctypes.c_double, count, address)
     lib.landreg_bias_corrections.restype = count
     lib.landreg_refine.argtypes = (
-        address, count, address, count, *[ctypes.c_double] * 5, count, address, count, address, count,
-        address, address, ctypes.POINTER(count), address, ctypes.POINTER(count),
+        count, address, count, address, count, *[ctypes.c_double] * 5, count, address, count, address, count,
+        address, address, address, address,
     )
-    lib.landreg_refine.restype = ctypes.c_int
+    lib.landreg_refine.restype = count
     return lib
 
 
@@ -135,7 +144,7 @@ def _bias_corrections() -> tuple[np.ndarray, np.ndarray]:
 def _loss_and_gradient(params: AffineParams9, moving: PointSet, fixed: PointSet) -> tuple[float, np.ndarray]:
     """Mean regularized distance at ``params`` and its 9 partial derivatives."""
     require_correspondence(moving, fixed)
-    theta, pairs, grad = np.array(params.t + params.r + params.s), _pairs(moving, fixed), np.empty(9)
+    theta, pairs, grad = np.array(params.t + params.r + params.s), _pairs((moving,), (fixed,)), np.empty(9)
     value = _kernel().landreg_loss_and_gradient(
         theta.ctypes.data, pairs.ctypes.data, len(pairs), LOSS_EPSILON, grad.ctypes.data)
     return value, grad
@@ -178,39 +187,76 @@ def refine(init: AffineParams9, moving: PointSet, fixed: PointSet,
     arithmetic can evaluate (an infinite angle), and ``OSError`` if the
     kernel is not built yet and cannot be.
     """
-    require_correspondence(moving, fixed)
+    return refine_many((init,), (moving,), (fixed,), config)[0]
+
+
+def refine_many(inits: Sequence[AffineParams9], movings: Sequence[PointSet], fixeds: Sequence[PointSet],
+                config: RefineConfig | None = None) -> list[RefineResult]:
+    """:func:`refine` of each case ``(inits[i], movings[i], fixeds[i])``, in case order.
+
+    The results, and the error raised when a case fails, are those of one
+    :func:`refine` call per case in turn, bit for bit, except that every
+    case's correspondence is checked before any case is refined. Two
+    consecutive cases with equal landmark counts refine in one kernel
+    call, one case per vector lane, in less time than two calls take.
+    Sequences of unequal length are a :class:`CorrespondenceError`.
+    """
+    if not len(inits) == len(movings) == len(fixeds):
+        raise CorrespondenceError(f"refine_many needs one start per moving and fixed set, got {len(inits)} "
+                                  f"starts, {len(movings)} moving and {len(fixeds)} fixed sets")
+    for moving, fixed in zip(movings, fixeds):
+        require_correspondence(moving, fixed)
     cfg = config if config is not None else RefineConfig()
+    results: list[RefineResult] = []
+    i = 0
+    while i < len(inits):
+        lanes = 2 if i + 1 < len(inits) and len(movings[i]) == len(movings[i + 1]) else 1
+        for outcome in _refine_lanes(inits[i:i + lanes], movings[i:i + lanes], fixeds[i:i + lanes], cfg):
+            if isinstance(outcome, DivergenceError):
+                raise outcome
+            results.append(outcome)
+        i += lanes
+    return results
+
+
+def _refine_lanes(inits: Sequence[AffineParams9], movings: Sequence[PointSet], fixeds: Sequence[PointSet],
+                  cfg: RefineConfig) -> list[RefineResult | DivergenceError]:
+    """One kernel call over one case, or over two with equal landmark counts,
+    one per lane: each case's result, or the error its own call raises."""
+    lanes = len(inits)
     # iterations 0 and 1, every TRACE_STRIDE-th and the last
     samples = cfg.iterations // TRACE_STRIDE + 3
     try:
-        trace_iterations, trace_losses = np.empty(samples, np.int64), np.empty(samples)
+        trace_iterations, trace_losses = np.empty(samples, np.int64), np.empty((samples, lanes))
     except (MemoryError, ValueError) as exc:  # ValueError: more samples than an array can index
         raise MemoryError(f"cannot allocate a loss trace of {samples} samples") from exc
-    pairs, theta, losses = _pairs(moving, fixed), np.array(init.t + init.r + init.s), np.empty(2)
+    pairs, theta = _pairs(movings, fixeds), np.array([init.t + init.r + init.s for init in inits])
+    losses, outcomes = np.empty((lanes, 2)), np.empty((lanes, 2), np.int64)
     first, second = _bias_corrections()
-    at, traced = ctypes.c_int64(), ctypes.c_int64()
-    status = _kernel().landreg_refine(
-        pairs.ctypes.data, len(pairs), theta.ctypes.data, cfg.iterations,
+    traced = _kernel().landreg_refine(
+        lanes, pairs.ctypes.data, len(pairs), theta.ctypes.data, cfg.iterations,
         cfg.step_size, BETA1, BETA2, ADAM_EPSILON, LOSS_EPSILON, TRACE_STRIDE,
         first.ctypes.data, len(first), second.ctypes.data, len(second),
-        trace_iterations.ctypes.data, trace_losses.ctypes.data, ctypes.byref(traced),
-        losses.ctypes.data, ctypes.byref(at),
+        trace_iterations.ctypes.data, trace_losses.ctypes.data, losses.ctypes.data, outcomes.ctypes.data,
     )
-    k = at.value
-    if status == _NONFINITE_ANGLE:
-        # the error Python's math.cos raises on an infinite angle
-        raise DivergenceError(f"arithmetic failed at iteration {k}: math domain error",
-                              iteration=k) from ValueError("math domain error")
-    if status == _NONFINITE_LOSS:
-        if k == 0:
-            raise DivergenceError("loss is non-finite at the initial parameters", iteration=0)
-        raise DivergenceError(f"loss became non-finite at iteration {k}", iteration=k)
-
-    n = traced.value
-    return RefineResult(
-        params=AffineParams9.from_vector(theta),
-        loss_trace=tuple(zip(trace_iterations[:n].tolist(), trace_losses[:n].tolist())),
-        initial_loss=float(losses[0]),
-        final_loss=float(losses[1]),
-        best_iteration=k,
-    )
+    iterations = trace_iterations[:traced].tolist()
+    results: list[RefineResult | DivergenceError] = []
+    for lane, (status, k) in enumerate(outcomes.tolist()):
+        if status == _NONFINITE_ANGLE:
+            # the error Python's math.cos raises on an infinite angle
+            error = DivergenceError(f"arithmetic failed at iteration {k}: math domain error", iteration=k)
+            error.__cause__ = ValueError("math domain error")
+            results.append(error)
+        elif status == _NONFINITE_LOSS:
+            results.append(DivergenceError("loss is non-finite at the initial parameters", iteration=0) if k == 0
+                           else DivergenceError(f"loss became non-finite at iteration {k}", iteration=k))
+        else:
+            initial, final = losses[lane].tolist()
+            results.append(RefineResult(
+                params=AffineParams9.from_vector(theta[lane]),
+                loss_trace=tuple(zip(iterations, trace_losses[:traced, lane].tolist())),
+                initial_loss=initial,
+                final_loss=final,
+                best_iteration=k,
+            ))
+    return results

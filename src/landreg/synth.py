@@ -242,3 +242,9 @@ def load_cases(case_dir: str | os.PathLike) -> list[EvalCase]:
     if not cases:
         raise FormatError(f"{case_dir}: no case subdirectories with moving.csv and fixed.csv")
     return cases
+
+
+def case_files(case_dir: str | os.PathLike, case: EvalCase) -> tuple[str, ...]:
+    """The files :func:`load_cases` read for ``case``: its moving and fixed CSVs, and its hold-out pair if it has one."""
+    names = ("moving.csv", "fixed.csv") + (("moving_eval.csv", "fixed_eval.csv") if case.moving_eval is not None else ())
+    return tuple(os.path.join(os.fspath(case_dir), case.case_id, name) for name in names)

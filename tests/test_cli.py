@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import landreg
-from landreg import evaluate, landmarks
+from landreg import evaluate, fileio, landmarks
 from landreg.cli import build_parser, main
 from landreg.core import AffineMatrix, Point3, PointSet, Volume3, compose
 from landreg.fileio import read_points, read_transform, read_volume, write_points, write_transform, write_volume
@@ -351,9 +351,9 @@ def test_compare_refuses_a_mismatched_case_before_fitting_any(tmp_path, capsys, 
     swap_rows(case_dir / "case_007" / csv, 0, 1)
     fitted = []
 
-    def recording(moving, fixed):
-        fitted.append(fixed)
-        return AffineMatrix.identity()
+    def recording(movings, fixeds):
+        fitted.extend(fixeds)
+        return [AffineMatrix.identity() for _ in movings]
 
     for name in evaluate.METHODS:
         monkeypatch.setitem(evaluate.METHODS, name, recording)
@@ -556,6 +556,31 @@ def test_edt_output_naming_the_mask_is_refused(tmp_path, capsys, monkeypatch, ou
     # the mask is intact: into a free name it gives its distance map
     assert main(["edt", "mask.json", "free.json"]) == 0
     assert np.array_equal(read_volume(tmp_path / "free.json").data, np.float32([0, 1, 2, 1, 2 ** 0.5, 5 ** 0.5]))
+
+
+def test_edt_reads_the_mask_header_once(tmp_path, monkeypatch):
+    write_mask(tmp_path / "mask.json", (3, 2, 1), (1, 1, 1), [0])
+    read = []
+    monkeypatch.setattr(fileio, "_read_json", lambda path, read_json=fileio._read_json: read.append(path) or read_json(path))
+    assert main(["edt", str(tmp_path / "mask.json"), str(tmp_path / "dist.json")]) == 0
+    assert read == [str(tmp_path / "mask.json")]
+
+
+@pytest.mark.parametrize("target", ["case_000/moving.csv", "case_001/fixed.csv", "case_001/fixed_eval.csv"])
+def test_compare_csv_naming_a_case_file_is_refused(tmp_path, capsys, monkeypatch, target):
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "cases", "--seed", "1", "--cases", "2"]) == 0
+    before = tree_bytes(tmp_path)
+    capsys.readouterr()
+    with monkeypatch.context() as patch:
+        patch.setattr("landreg.cli.compare_methods", _never)
+        assert main(["compare", "cases", "--csv", f"cases/{target}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cases/{target}: an output may not overwrite the input cases/{target}\n"
+    assert tree_bytes(tmp_path) == before
+    # the cases are intact: the next compare reads them
+    assert main(["compare", "cases", "--methods", "identity,umeyama"]) == 0
 
 
 def test_register_help_documents_defaults(capsys):

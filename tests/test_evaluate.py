@@ -270,8 +270,10 @@ def test_methods_registry_runs_in_the_default_order():
     case = generate_cases(6, 1, SynthConfig(scale_mode="nonuniform"))[0]
     config = RefineConfig(iterations=200)
     expected = compose(refine(decompose(umeyama_fit(case.moving, case.fixed)), case.moving, case.fixed, config).params)
-    assert np.array_equal(refined_fit(case.moving, case.fixed, config).matrix, expected.matrix)
-    assert np.array_equal(METHODS["identity"](case.moving, case.fixed).matrix, np.eye(4))
+    (refined,) = refined_fit([case.moving], [case.fixed], config)
+    assert np.array_equal(refined.matrix, expected.matrix)
+    (identity,) = METHODS["identity"]([case.moving], [case.fixed])
+    assert np.array_equal(identity.matrix, np.eye(4))
 
 
 def test_tre_refuses_reordered_names():
@@ -335,10 +337,10 @@ def failing_at_last(case_ids, error):
     cases = [aligned_case(case_id) for case_id in case_ids]
     last = cases[-1].fixed
 
-    def fit(moving, fixed):
-        if fixed is last:
+    def fit(movings, fixeds):
+        if any(fixed is last for fixed in fixeds):
             raise error()
-        return AffineMatrix.identity()
+        return [AffineMatrix.identity() for _ in movings]
 
     return cases, fit
 
@@ -371,10 +373,11 @@ def test_compare_raises_the_earliest_failing_case(several_cpus):
     cases = [aligned_case(f"c{i}") for i in range(4)]
     failing = {id(cases[1].fixed): 1, id(cases[2].fixed): 2}
 
-    def diverging(moving, fixed):
-        if id(fixed) in failing:
-            raise DivergenceError("boom", iteration=failing[id(fixed)])
-        return AffineMatrix.identity()
+    def diverging(movings, fixeds):
+        for fixed in fixeds:
+            if id(fixed) in failing:
+                raise DivergenceError("boom", iteration=failing[id(fixed)])
+        return [AffineMatrix.identity() for _ in movings]
 
     with pytest.raises(DivergenceError) as info:
         compare_methods(cases, {"diverging": diverging})
@@ -386,7 +389,8 @@ def test_compare_raises_case_order_not_time_order(several_cpus):
     cases = [aligned_case(f"c{i}") for i in range(3)]
     c2_failed, failed = threading.Event(), []
 
-    def diverging(moving, fixed):
+    def diverging(movings, fixeds):
+        (fixed,) = fixeds
         if fixed is cases[2].fixed:
             failed.append("c2")
             c2_failed.set()
@@ -395,7 +399,7 @@ def test_compare_raises_case_order_not_time_order(several_cpus):
             c2_failed.wait(timeout=5)
             failed.append("c1")
             raise DivergenceError("second", iteration=1)
-        return AffineMatrix.identity()
+        return [AffineMatrix.identity()]
 
     with pytest.raises(DivergenceError) as info:
         compare_methods(cases, {"diverging": diverging})
@@ -408,12 +412,71 @@ def test_compare_runs_cases_at_once(monkeypatch):
     monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 2)
     barrier = threading.Barrier(2, timeout=5)
 
-    def meeting(moving, fixed):
+    def meeting(movings, fixeds):
         barrier.wait()
-        return AffineMatrix.identity()
+        return [AffineMatrix.identity() for _ in movings]
 
     table = compare_methods([aligned_case("a"), aligned_case("b")], {"meeting": meeting})
     assert [report.case_id for report in table.reports] == ["a", "b"]
+
+
+@pytest.mark.parametrize(
+    "cpus, n_cases, sizes",
+    [(1, 5, [2, 2, 1]), (2, 8, [2, 2, 2, 2]), (4, 8, [2, 2, 2, 2]), (4, 5, [2, 1, 1, 1]), (6, 8, [2, 2, 1, 1, 1, 1]),
+     (8, 8, [1] * 8)],
+)
+def test_compare_pairs_cases_while_the_tasks_cover_the_threads(monkeypatch, cpus, n_cases, sizes):
+    monkeypatch.setattr(evaluate, "_usable_cpus", lambda: cpus)
+    cases = [aligned_case(f"c{i}") for i in range(n_cases)]
+    index = {id(case.fixed): i for i, case in enumerate(cases)}
+    calls = []
+
+    def recording(movings, fixeds):
+        calls.append([index[id(fixed)] for fixed in fixeds])
+        return [AffineMatrix.identity() for _ in movings]
+
+    table = compare_methods(cases, {"recording": recording})
+    assert [report.case_id for report in table.reports] == [case.case_id for case in cases]
+    assert [len(chunk) for chunk in sorted(calls)] == sizes
+    assert sorted(i for chunk in calls for i in chunk) == list(range(n_cases))
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+@pytest.mark.parametrize("error", [DivergenceError, ValueError])
+def test_compare_raises_the_serial_error_of_a_pair(monkeypatch, cpus, error):
+    # c1 and c3 fail, each paired with a case that fits: c1's error is raised
+    # as a serial run raises it, a library error tagged and any other untouched
+    monkeypatch.setattr(evaluate, "_usable_cpus", lambda: cpus)
+    cases = [aligned_case(f"c{i}") for i in range(5)]
+    failing = {id(cases[1].fixed): 1, id(cases[3].fixed): 3}
+
+    def diverging(movings, fixeds):
+        for fixed in fixeds:
+            if id(fixed) in failing:
+                raise error(f"boom {failing[id(fixed)]}", *([failing[id(fixed)]] if error is DivergenceError else []))
+        return [AffineMatrix.identity() for _ in movings]
+
+    with pytest.raises(error) as info:
+        compare_methods(cases, {"diverging": diverging})
+    assert type(info.value) is error
+    if error is DivergenceError:
+        assert str(info.value) == "[case c1, method diverging] boom 1"
+        assert info.value.iteration == 1
+    else:
+        assert str(info.value) == "boom 1"
+
+
+def test_compare_equals_per_case_fits_at_every_cpu_count(monkeypatch):
+    # an odd count of cases with 4 and 6 fitting landmarks, so some pair and some do not
+    cfg = SynthConfig(scale_mode="nonuniform", noise_sigma=1.0)
+    cases = generate_cases(4, 3, cfg) + generate_cases(5, 2, dataclasses.replace(cfg, n_fit=6))
+    cases = [dataclasses.replace(case, case_id=f"case_{i:03d}") for i, case in enumerate(cases)]
+    methods = {**METHODS, "umeyama+refine": functools.partial(refined_fit, config=RefineConfig(iterations=700))}
+    per_case = [report for case in cases for report in evaluate._run_cases([case], methods)]
+    for cpus in (1, 2, 4, 8):
+        monkeypatch.setattr(evaluate, "_usable_cpus", lambda: cpus)
+        table = compare_methods(cases, methods)
+        assert repr(list(table.reports)) == repr(per_case), cpus
 
 
 def test_compare_thread_pool_equals_one_worker(monkeypatch):

@@ -17,7 +17,7 @@ from landreg.fileio import (
     read_points,
     read_transform,
     read_volume,
-    volume_data_path,
+    read_volume_header,
     write_points,
     write_trace,
     write_transform,
@@ -322,16 +322,19 @@ def test_volume_rejects_bad_headers(tmp_path):
             read_volume(path)
 
 
-def test_volume_data_path_names_the_raw_file_without_reading_it(tmp_path):
+def test_read_volume_header_names_the_raw_file_without_reading_it(tmp_path):
     path = tmp_path / "v.json"
     path.write_text(json.dumps(
         {"dims": [1, 1, 1], "spacing": [1.0, 1.0, 1.0], "origin": [0.0, 0.0, 0.0], "dtype": "f32",
          "data": "sub/payload.bin"}
     ))
-    assert volume_data_path(path) == os.path.join(str(tmp_path), "sub/payload.bin")
+    header = read_volume_header(path)
+    assert header.data_path == os.path.join(str(tmp_path), "sub/payload.bin")
+    assert (header.dims, header.spacing, header.origin, header.raw_name) == (
+        (1, 1, 1), [1.0, 1.0, 1.0], Point3(0.0, 0.0, 0.0), "sub/payload.bin")
     path.write_text(json.dumps({"dims": [1, 1, 1], "data": "v.raw"}))
     with pytest.raises(FormatError, match="lacks 'spacing'"):
-        volume_data_path(path)
+        read_volume_header(path)
 
 
 def test_volume_header_named_raw_is_refused_before_writing(tmp_path):

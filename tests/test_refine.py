@@ -8,6 +8,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from landreg.core import (
     AffineParams9,
@@ -18,7 +19,7 @@ from landreg.core import (
     transform_array,
 )
 from landreg.errors import CorrespondenceError, DivergenceError, InvalidParameterError
-from landreg.evaluate import _run_case, _usable_cpus, compare_methods, refined_fit
+from landreg.evaluate import _run_cases, _usable_cpus, compare_methods, refined_fit
 from landreg.refine import (
     _MAX_CORRECTIONS,
     ADAM_EPSILON,
@@ -31,6 +32,7 @@ from landreg.refine import (
     loss,
     loss_gradient,
     refine,
+    refine_many,
 )
 from landreg.synth import SynthConfig, generate_cases
 from landreg.umeyama import umeyama_fit
@@ -252,32 +254,148 @@ def bit_pattern(result):
     )
 
 
-def kernel_and_scalar_patterns(case):
-    start = decompose(umeyama_fit(case.moving, case.fixed))
-    kernel = bit_pattern(refine(start, case.moving, case.fixed))
-    return kernel, bit_pattern(scalar_refine(start, case.moving, case.fixed))
+def kernel_and_scalar_patterns(cases):
+    """Each case's bit pattern refined alone, refined with the others, and by the scalar oracle."""
+    starts = [decompose(umeyama_fit(case.moving, case.fixed)) for case in cases]
+    movings, fixeds = [case.moving for case in cases], [case.fixed for case in cases]
+    alone = [bit_pattern(refine(*args)) for args in zip(starts, movings, fixeds)]
+    together = [bit_pattern(result) for result in refine_many(starts, movings, fixeds)]
+    return alone, together, [bit_pattern(scalar_refine(*args)) for args in zip(starts, movings, fixeds)]
 
 
 def test_refine_matches_scalar_oracle_bit_for_bit():
     # 112 cases at the paper defaults: seeds 11, 23, 5 and 7; 4, 8 and 12
     # fitting landmarks; 0 and 1 mm noise; uniform and nonuniform scales,
-    # with a third case at 4 landmarks, the paper's count. Each case is one
-    # task on forked workers.
-    cases = {
-        (seed, n_fit, noise, mode, case.case_id): case
+    # with a third case at 4 landmarks, the paper's count. Each cohort of 2
+    # or 3 cases is one task on forked workers, and refines alone and
+    # together: two cases in the kernel's two lanes, a third alone.
+    cohorts = {
+        (seed, n_fit, noise, mode): generate_cases(
+            seed, 3 if n_fit == 4 else 2, SynthConfig(n_fit=n_fit, noise_sigma=noise, scale_mode=mode))
         for seed in (11, 23, 5, 7)
         for n_fit in (4, 8, 12)
         for noise in (0.0, 1.0)
         for mode in ("uniform", "nonuniform")
-        for case in generate_cases(seed, 3 if n_fit == 4 else 2,
-                                   SynthConfig(n_fit=n_fit, noise_sigma=noise, scale_mode=mode))
     }
-    assert len(cases) >= 100
-    workers = min(len(cases), _usable_cpus())
+    assert sum(map(len, cohorts.values())) >= 100
+    workers = min(len(cohorts), _usable_cpus())
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        patterns = pool.map(kernel_and_scalar_patterns, cases.values())
-        for key, (kernel, scalar) in zip(cases, patterns):
-            assert kernel == scalar, key
+        patterns = pool.map(kernel_and_scalar_patterns, cohorts.values())
+        for key, (alone, together, scalar) in zip(cohorts, patterns):
+            assert alone == scalar, key
+            assert together == scalar, key
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(n=st.integers(3, 12), iterations=st.integers(1, 1200), step_size=st.sampled_from([1e-5, 1e-2, 0.3]),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=4, iterations=355, step_size=1e-5, seed=0)
+@example(n=4, iterations=356, step_size=1e-5, seed=0)
+@example(n=12, iterations=357, step_size=1e-5, seed=1)
+def test_two_lanes_equal_two_one_case_calls(n, iterations, step_size, seed):
+    # 356 is the first step whose first-moment correction is exactly 1.0; the
+    # larger steps overshoot, so each lane finds its best iterate on its own
+    # steps, some with a negative scale left out of the family
+    rng = np.random.default_rng(seed)
+    cases = [random_instance(rng, n) for _ in range(2)]
+    cfg = RefineConfig(iterations=iterations, step_size=step_size)
+    together = refine_many(*zip(*cases), cfg)
+    assert [bit_pattern(result) for result in together] == [bit_pattern(refine(*case, cfg)) for case in cases]
+
+
+def still_case(n):
+    """A case at its exact fit from the identity start: every gradient is 0, so no step size moves it."""
+    points = PointSet(TETRA[:n] + 1.0)
+    return AffineParams9.identity(), points, points
+
+
+def error_pattern(error):
+    return type(error), str(error), error.iteration, type(error.__cause__)
+
+
+# cases that diverge alone, each with a healthy partner of its landmark count
+# and the config both refine under
+DIVERGING = {
+    "loss-at-the-start": (
+        (AffineParams9.identity(), PointSet(np.eye(3) * 1e200), PointSet(np.eye(3))),
+        random_instance(np.random.default_rng(3), 3),
+        RefineConfig(iterations=300),
+    ),
+    "loss-at-a-step": (
+        (AffineParams9.identity(), PointSet(np.eye(3) * 1e150), PointSet(np.eye(3))),
+        still_case(3),
+        RefineConfig(iterations=5, step_size=1e150),
+    ),
+    "infinite-angle": (
+        (AffineParams9.identity(), PointSet(np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])),
+         PointSet(np.array([[1.0, 1.0, 0.0], [-1.0, -1.0, 0.0]]))),
+        still_case(2),
+        RefineConfig(iterations=20, step_size=1.5e308),
+    ),
+}
+
+
+@pytest.mark.parametrize("lane", [0, 1])
+@pytest.mark.parametrize("scenario", list(DIVERGING))
+def test_a_diverging_lane_fails_as_alone_and_leaves_the_other(scenario, lane):
+    diverging, healthy, cfg = DIVERGING[scenario]
+    with pytest.raises(DivergenceError) as alone:
+        refine(*diverging, cfg)
+    assert alone.value.iteration == {"loss-at-the-start": 0, "loss-at-a-step": 1, "infinite-angle": 2}[scenario]
+    cases = [healthy, healthy]
+    cases[lane] = diverging
+    outcomes = refine_module._refine_lanes(*zip(*cases), cfg)
+    assert error_pattern(outcomes[lane]) == error_pattern(alone.value)
+    assert bit_pattern(outcomes[1 - lane]) == bit_pattern(refine(*healthy, cfg))
+    with pytest.raises(DivergenceError) as together:
+        refine_many(*zip(*cases), cfg)
+    assert error_pattern(together.value) == error_pattern(alone.value)
+
+
+def test_two_diverging_lanes_raise_the_first_case_s_error():
+    # the second case fails at its start, the first at step 1: case order wins
+    late, _, cfg = DIVERGING["loss-at-a-step"]
+    early = (AffineParams9.identity(), PointSet(np.eye(3) * 1e200), PointSet(np.eye(3)))
+    with pytest.raises(DivergenceError) as alone:
+        refine(*late, cfg)
+    with pytest.raises(DivergenceError) as together:
+        refine_many(*zip(late, early), cfg)
+    assert error_pattern(together.value) == error_pattern(alone.value)
+
+
+@pytest.fixture
+def lane_calls(monkeypatch):
+    """The number of cases of each kernel call, in call order."""
+    calls = []
+    lanes = refine_module._refine_lanes
+    monkeypatch.setattr(refine_module, "_refine_lanes", lambda inits, *rest: calls.append(len(inits)) or lanes(inits, *rest))
+    return calls
+
+
+def test_refine_many_pairs_consecutive_cases_of_equal_count(lane_calls):
+    # unequal counts and an odd case count: 5 and the last 6 refine alone
+    rng = np.random.default_rng(5)
+    cases = [random_instance(rng, n) for n in (4, 4, 5, 4, 4, 4, 6)]
+    cfg = RefineConfig(iterations=400)
+    results = refine_many(*zip(*cases), cfg)
+    assert lane_calls == [2, 1, 2, 1, 1]
+    assert [bit_pattern(result) for result in results] == [bit_pattern(refine(*case, cfg)) for case in cases]
+    lane_calls.clear()
+    (result,) = refine_many(*zip(cases[0]), cfg)
+    assert lane_calls == [1]
+    assert bit_pattern(result) == bit_pattern(refine(*cases[0], cfg))
+    assert refine_many((), (), (), cfg) == []
+
+
+def test_refine_many_checks_every_case_before_refining_any(lane_calls):
+    moving = PointSet(TETRA, names=("a", "b", "c", "d"))
+    fixed = PointSet(TETRA[[0, 1, 3, 2]], names=("a", "b", "d", "c"))
+    start = AffineParams9.identity()
+    with pytest.raises(CorrespondenceError, match="^landmark names disagree: "):
+        refine_many((start, start), (moving, moving), (moving, fixed))
+    with pytest.raises(CorrespondenceError, match="^refine_many needs one start per moving and fixed set"):
+        refine_many((start,), (moving, moving), (moving, moving))
+    assert lane_calls == []
 
 
 def test_refine_matches_scalar_oracle_past_the_settled_corrections():
@@ -323,7 +441,7 @@ def test_concurrent_first_refinements_match_serial_ones(fresh_corrections):
     racing = compare_methods(cases, fitters)
     # serially, every step count reads the tables one call built
     refine_module._bias_corrections.cache_clear()
-    serial = [report for case in cases for report in _run_case(case, fitters)]
+    serial = [report for case in cases for report in _run_cases([case], fitters)]
     assert refine_module._bias_corrections.cache_info().misses == 1
     assert repr(list(racing.reports)) == repr(serial)
 
