@@ -224,6 +224,15 @@ def read_volume_header(path: str | os.PathLike) -> VolumeHeader:
         return VolumeHeader(dims, payload["spacing"], origin, raw_name, data_path)
 
 
+def volume_data_path(path: str | os.PathLike) -> str:
+    """The path of the raw file that the volume header at ``path`` names.
+
+    The header is read and checked as :func:`read_volume` checks it; the
+    raw file itself is not opened.
+    """
+    return read_volume_header(path).data_path
+
+
 def read_volume(path: str | os.PathLike, header: VolumeHeader | None = None) -> Volume3:
     """Read a volume JSON header and its raw little-endian float32 payload.
 

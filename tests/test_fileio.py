@@ -18,6 +18,7 @@ from landreg.fileio import (
     read_transform,
     read_volume,
     read_volume_header,
+    volume_data_path,
     write_points,
     write_trace,
     write_transform,
@@ -335,6 +336,18 @@ def test_read_volume_header_names_the_raw_file_without_reading_it(tmp_path):
     path.write_text(json.dumps({"dims": [1, 1, 1], "data": "v.raw"}))
     with pytest.raises(FormatError, match="lacks 'spacing'"):
         read_volume_header(path)
+
+
+def test_volume_data_path_names_the_raw_file_without_reading_it(tmp_path):
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps(
+        {"dims": [1, 1, 1], "spacing": [1.0, 1.0, 1.0], "origin": [0.0, 0.0, 0.0], "dtype": "f32",
+         "data": "sub/payload.bin"}
+    ))
+    assert volume_data_path(path) == os.path.join(str(tmp_path), "sub/payload.bin")
+    path.write_text(json.dumps({"dims": [1, 1, 1], "data": "v.raw"}))
+    with pytest.raises(FormatError, match="lacks 'spacing'"):
+        volume_data_path(path)
 
 
 def test_volume_header_named_raw_is_refused_before_writing(tmp_path):
