@@ -30,7 +30,7 @@ from .fileio import (
     read_transform,
     read_volume,
     read_volume_header,
-    volume_raw_name,
+    volume_raw_path,
     write_file,
     write_trace,
     write_transform,
@@ -83,14 +83,14 @@ def _read_mask(path: str, header: VolumeHeader | None = None) -> BinaryMask:
 
 def cmd_edt(args: argparse.Namespace) -> None:
     # refuse a bad output name, or one that would overwrite the mask, before the work
-    out_raw = os.path.join(os.path.dirname(args.out), volume_raw_name(args.out))
+    out_raw = volume_raw_path(args.out)
     header = read_volume_header(args.mask)
     _refuse_to_overwrite((args.out, out_raw), (args.mask, header.data_path))
     write_volume(distance_transform(_read_mask(args.mask, header)), args.out)
 
 
 def cmd_make_label(args: argparse.Namespace) -> None:
-    volume_raw_name(args.out)
+    volume_raw_path(args.out)
     template = Volume3(dims=args.dims, spacing=args.spacing, origin=Point3(*args.origin))
     write_volume(make_label(Point3(*args.landmark), template), args.out)
 
@@ -174,8 +174,8 @@ def cmd_synth(args: argparse.Namespace) -> None:
 def cmd_compare(args: argparse.Namespace) -> None:
     cases = load_cases(args.case_dir)
     if args.csv:
-        # refuse before the work, so the table overwrites no landmark file that was read
-        _refuse_to_overwrite((args.csv,), tuple(path for case in cases for path in case_files(args.case_dir, case)))
+        # refuse before the work, so the table lands on no file of a loaded case's layout, read or not
+        _refuse_to_overwrite((args.csv,), tuple(path for case in cases for path in case_files(args.case_dir, case.case_id)))
     comparison = compare_methods(cases, {name: METHODS[name] for name in args.methods})
     if args.csv:
         write_file(args.csv, comparison.to_csv().encode("utf-8"))
@@ -217,8 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("fixed", help="fixed landmark CSV")
     p.add_argument("out", help="output transform JSON")
     p.add_argument("--refine", action="store_true", help="refine all nine parameters with Adam after the closed-form fit")
-    p.add_argument("--iters", type=int, default=10000, help="refinement iterations")
-    p.add_argument("--lr", type=float, default=1e-5, help="refinement step size")
+    p.add_argument("--iters", type=int, default=RefineConfig.iterations, help="refinement iterations")
+    p.add_argument("--lr", type=float, default=RefineConfig.step_size, help="refinement step size")
     p.add_argument("--trace", metavar="CSV", help=f"write the loss at iterations 0, 1, every {TRACE_STRIDE}th "
                    "and the last as CSV (requires --refine)")
 
@@ -236,10 +236,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out_dir", help="output directory (one subdirectory per case)")
     p.add_argument("--seed", type=int, required=True, help="master seed")
     p.add_argument("--cases", type=int, default=1, help="number of cases")
-    p.add_argument("--noise", type=float, default=0.0, help="Gaussian landmark noise sigma in mm")
-    p.add_argument("--scale-mode", choices=SCALE_MODES, default="uniform", help="one shared scale or three independent scales")
-    p.add_argument("--n-fit", type=int, default=4, help="fitting landmarks per case")
-    p.add_argument("--n-holdout", type=int, default=1, help="hold-out landmarks per case")
+    p.add_argument("--noise", type=float, default=SynthConfig.noise_sigma, help="Gaussian landmark noise sigma in mm")
+    p.add_argument("--scale-mode", choices=SCALE_MODES, default=SynthConfig.scale_mode, help="one shared scale or three independent scales")
+    p.add_argument("--n-fit", type=int, default=SynthConfig.n_fit, help="fitting landmarks per case")
+    p.add_argument("--n-holdout", type=int, default=SynthConfig.n_holdout, help="hold-out landmarks per case")
 
     p = command("compare", cmd_compare, "TRE table and paired t tests for several methods over a case directory")
     p.add_argument("case_dir", help="directory of cases (layout of the synth command)")

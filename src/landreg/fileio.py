@@ -255,42 +255,38 @@ def read_volume(path: str | os.PathLike, header: VolumeHeader | None = None) -> 
         return Volume3(dims=dims, spacing=spacing, origin=origin, data=data)
 
 
-def volume_raw_name(path: str | os.PathLike) -> str:
-    """The file name of the raw payload that :func:`write_volume` pairs with ``path``.
+def volume_raw_path(path: str | os.PathLike) -> str:
+    """The path of the raw payload that :func:`write_volume` pairs with ``path``.
 
-    It is the header's file name with a ``.raw`` extension. A header path
-    that itself ends in ``.raw`` would be overwritten by its payload, so it
-    is a :class:`FormatError`; callers check it before computing a volume.
+    It is the header's path with a ``.raw`` extension. A header path that
+    itself ends in ``.raw`` would be overwritten by its payload, so it is a
+    :class:`FormatError`; callers check it before computing a volume.
     """
     path = os.fspath(path)
-    raw_name = os.path.splitext(os.path.basename(path))[0] + ".raw"
-    _require(
-        raw_name != os.path.basename(path),
-        path,
-        "a volume header may not end in '.raw', the extension of its raw file",
-    )
-    return raw_name
+    head, name = os.path.split(path)
+    raw_name = os.path.splitext(name)[0] + ".raw"
+    _require(raw_name != name, path, "a volume header may not end in '.raw', the extension of its raw file")
+    return os.path.join(head, raw_name)
 
 
 def write_volume(volume: Volume3, path: str | os.PathLike) -> None:
     """Write a volume as JSON header plus raw float32 file.
 
-    The raw file lands next to the header, named by :func:`volume_raw_name`;
+    The raw file lands next to the header, at :func:`volume_raw_path`;
     values are narrowed to 32-bit floats. A header path ending in ``.raw``
     is a :class:`FormatError` and nothing is written.
     """
     path = os.fspath(path)
-    raw_name = volume_raw_name(path)
+    raw_path = volume_raw_path(path)
     payload = {
         "dims": [int(d) for d in volume.dims],
         "spacing": [float(s) for s in volume.spacing],
         "origin": [volume.origin.x, volume.origin.y, volume.origin.z],
         "dtype": VOLUME_DTYPE,
-        "data": raw_name,
+        "data": os.path.basename(raw_path),
     }
     write_file(path, (json.dumps(payload, indent=2) + "\n").encode("utf-8"))
-    raw = np.ascontiguousarray(volume.data, dtype=_RAW_DTYPE)
-    write_file(os.path.join(os.path.dirname(path), raw_name), raw)
+    write_file(raw_path, np.ascontiguousarray(volume.data, dtype=_RAW_DTYPE))
 
 
 def write_trace(trace: Sequence[tuple[int, float]], path: str | os.PathLike) -> None:

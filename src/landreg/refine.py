@@ -88,11 +88,9 @@ def _pairs(movings: Sequence[PointSet], fixeds: Sequence[PointSet]) -> np.ndarra
     """Correspondences as the kernel reads them: C-contiguous rows (px, py,
     pz, fx, fy, fz), each coordinate given for both vector lanes in turn.
     Two cases fill one lane each; one case fills both."""
-    rows = np.empty((len(movings[0]), 6, 2))
-    for lane in (0, 1):
-        rows[:, :3, lane] = movings[lane % len(movings)].coords
-        rows[:, 3:, lane] = fixeds[lane % len(fixeds)].coords
-    return rows
+    # each case's six columns side by side; two cases then move the case axis innermost
+    rows = np.concatenate([points.coords for case in zip(movings, fixeds) for points in case], axis=1)
+    return rows.repeat(2, axis=1) if len(movings) == 1 else rows.reshape(len(rows), 2, 6).swapaxes(1, 2).copy()
 
 
 # landreg_refine's status codes, as _refine.c defines them

@@ -155,10 +155,10 @@ def generate_cases(seed: int, n_cases: int, config: SynthConfig | None = None) -
 def save_cases(cases: list[SyntheticCase], out_dir: str | os.PathLike, config: SynthConfig) -> None:
     """Write one subdirectory per case plus a manifest of generator truth.
 
-    Layout: ``<out_dir>/case_000/{moving,fixed,moving_eval,fixed_eval}.csv``
-    with the eval files present only when the case has hold-out points,
-    and ``<out_dir>/manifest.json`` recording the config, seed, and the
-    exact generator parameters of every case.
+    Layout: the CSVs :func:`case_files` names for each case, the eval
+    files only when the case has hold-out points, and
+    ``<out_dir>/manifest.json`` recording the config, seed, and the exact
+    generator parameters of every case.
 
     An ``out_dir`` that already holds ``case_*`` directories this call does
     not write is a :class:`FormatError`, raised before anything is written:
@@ -178,13 +178,13 @@ def save_cases(cases: list[SyntheticCase], out_dir: str | os.PathLike, config: S
     os.makedirs(out_dir, exist_ok=True)
     entries = []
     for case in cases:
-        case_dir = os.path.join(out_dir, case.case_id)
-        os.makedirs(case_dir, exist_ok=True)
-        write_points(case.moving, os.path.join(case_dir, "moving.csv"))
-        write_points(case.fixed, os.path.join(case_dir, "fixed.csv"))
+        moving_path, fixed_path, me_path, fe_path = case_files(out_dir, case.case_id)
+        os.makedirs(os.path.dirname(moving_path), exist_ok=True)
+        write_points(case.moving, moving_path)
+        write_points(case.fixed, fixed_path)
         if case.moving_eval is not None:
-            write_points(case.moving_eval, os.path.join(case_dir, "moving_eval.csv"))
-            write_points(case.fixed_eval, os.path.join(case_dir, "fixed_eval.csv"))
+            write_points(case.moving_eval, me_path)
+            write_points(case.fixed_eval, fe_path)
         entries.append(
             {
                 "case_id": case.case_id,
@@ -225,13 +225,10 @@ def load_cases(case_dir: str | os.PathLike) -> list[EvalCase]:
     cases: list[EvalCase] = []
     for entry in sorted(os.listdir(case_dir)):
         sub = os.path.join(case_dir, entry)
-        moving_path = os.path.join(sub, "moving.csv")
-        fixed_path = os.path.join(sub, "fixed.csv")
+        moving_path, fixed_path, me_path, fe_path = case_files(case_dir, entry)
         if not (entry.startswith(CASE_PREFIX) and os.path.isdir(sub)
                 and os.path.isfile(moving_path) and os.path.isfile(fixed_path)):
             continue
-        me_path = os.path.join(sub, "moving_eval.csv")
-        fe_path = os.path.join(sub, "fixed_eval.csv")
         moving_eval = read_points(me_path) if os.path.isfile(me_path) else None
         fixed_eval = read_points(fe_path) if os.path.isfile(fe_path) else None
         moving, fixed = read_points(moving_path), read_points(fixed_path)
@@ -244,7 +241,11 @@ def load_cases(case_dir: str | os.PathLike) -> list[EvalCase]:
     return cases
 
 
-def case_files(case_dir: str | os.PathLike, case: EvalCase) -> tuple[str, ...]:
-    """The files :func:`load_cases` read for ``case``: its moving and fixed CSVs, and its hold-out pair if it has one."""
-    names = ("moving.csv", "fixed.csv") + (("moving_eval.csv", "fixed_eval.csv") if case.moving_eval is not None else ())
-    return tuple(os.path.join(os.fspath(case_dir), case.case_id, name) for name in names)
+def case_files(case_dir: str | os.PathLike, case_id: str) -> tuple[str, str, str, str]:
+    """The paths of case ``case_id``'s moving, fixed, moving_eval and fixed_eval CSVs under ``case_dir``.
+
+    This is the layout :func:`save_cases` writes and :func:`load_cases`
+    reads. All four paths come back whether or not the files exist.
+    """
+    names = ("moving.csv", "fixed.csv", "moving_eval.csv", "fixed_eval.csv")
+    return tuple(os.path.join(os.fspath(case_dir), case_id, name) for name in names)

@@ -15,6 +15,7 @@ from landreg import evaluate, fileio, landmarks
 from landreg.cli import build_parser, main
 from landreg.core import AffineMatrix, Point3, PointSet, Volume3, compose
 from landreg.fileio import read_points, read_transform, read_volume, write_points, write_transform, write_volume
+from landreg.refine import RefineConfig
 from landreg.synth import SynthConfig, generate_cases
 
 
@@ -566,10 +567,20 @@ def test_edt_reads_the_mask_header_once(tmp_path, monkeypatch):
     assert read == [str(tmp_path / "mask.json")]
 
 
-@pytest.mark.parametrize("target", ["case_000/moving.csv", "case_001/fixed.csv", "case_001/fixed_eval.csv"])
-def test_compare_csv_naming_a_case_file_is_refused(tmp_path, capsys, monkeypatch, target):
+@pytest.mark.parametrize(
+    "n_holdout, target",
+    [
+        pytest.param(1, "case_000/moving.csv", id="case_000/moving.csv"),
+        pytest.param(1, "case_001/fixed.csv", id="case_001/fixed.csv"),
+        pytest.param(1, "case_001/fixed_eval.csv", id="case_001/fixed_eval.csv"),
+        # a cohort without hold-outs: a table there would become a hold-out file the next compare reads
+        pytest.param(0, "case_000/moving_eval.csv", id="no-holdout-case_000/moving_eval.csv"),
+        pytest.param(0, "case_001/fixed_eval.csv", id="no-holdout-case_001/fixed_eval.csv"),
+    ],
+)
+def test_compare_csv_naming_a_case_file_is_refused(tmp_path, capsys, monkeypatch, n_holdout, target):
     monkeypatch.chdir(tmp_path)
-    assert main(["synth", "cases", "--seed", "1", "--cases", "2"]) == 0
+    assert main(["synth", "cases", "--seed", "1", "--cases", "2", "--n-holdout", str(n_holdout)]) == 0
     before = tree_bytes(tmp_path)
     capsys.readouterr()
     with monkeypatch.context() as patch:
@@ -593,6 +604,17 @@ def test_register_help_documents_defaults(capsys):
     assert texts[0] == texts[1]
     assert "10000" in texts[0]
     assert "1e-05" in texts[0]
+
+
+def test_cli_defaults_are_the_library_defaults():
+    register = build_parser().parse_args(["register", "m.csv", "f.csv", "out.json"])
+    refine_defaults = RefineConfig()
+    assert (register.iters, register.lr) == (refine_defaults.iterations, refine_defaults.step_size)
+    synth = build_parser().parse_args(["synth", "cases", "--seed", "1"])
+    synth_defaults = SynthConfig()
+    assert (synth.n_fit, synth.n_holdout, synth.noise, synth.scale_mode) == (
+        synth_defaults.n_fit, synth_defaults.n_holdout, synth_defaults.noise_sigma, synth_defaults.scale_mode
+    )
 
 
 HELP_DIR = os.path.join(os.path.dirname(__file__), "cli_help")

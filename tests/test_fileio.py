@@ -19,6 +19,7 @@ from landreg.fileio import (
     read_volume,
     read_volume_header,
     volume_data_path,
+    volume_raw_path,
     write_points,
     write_trace,
     write_transform,
@@ -359,6 +360,15 @@ def test_volume_header_named_raw_is_refused_before_writing(tmp_path):
     write_volume(vol, tmp_path / "x.raw.json")
     assert np.array_equal(read_volume(tmp_path / "x.raw.json").data, vol.data)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["x.raw.json", "x.raw.raw"]
+
+
+def test_volume_raw_path_is_where_write_volume_puts_the_raw_file(tmp_path):
+    assert volume_raw_path("v.json") == "v.raw"
+    assert volume_raw_path(os.path.join("a.d", "v")) == os.path.join("a.d", "v.raw")
+    header = tmp_path / "v.json"
+    write_volume(Volume3(dims=(2, 1, 1), spacing=(1, 1, 1), data=np.array([1.0, 2.0])), header)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["v.json", "v.raw"]
+    assert volume_raw_path(header) == volume_data_path(header) == str(tmp_path / "v.raw")
 
 
 def test_volume_rejects_raw_size_mismatch(tmp_path):

@@ -363,6 +363,21 @@ def test_two_diverging_lanes_raise_the_first_case_s_error():
     assert error_pattern(together.value) == error_pattern(alone.value)
 
 
+def test_pairs_give_each_coordinate_for_both_lanes_in_turn():
+    rng = np.random.default_rng(5)
+    movings, fixeds = [[PointSet(rng.normal(size=(5, 3))) for _ in range(2)] for _ in range(2)]
+    # rows[i, c, lane]: coordinate c of correspondence i (px, py, pz, fx, fy, fz) in that lane
+    expected = np.empty((5, 6, 2))
+    for lane in (0, 1):
+        expected[:, :3, lane], expected[:, 3:, lane] = movings[lane].coords, fixeds[lane].coords
+    for rows, want in (
+        (refine_module._pairs(movings, fixeds), expected),
+        (refine_module._pairs(movings[:1], fixeds[:1]), expected[:, :, [0, 0]]),
+    ):
+        assert rows.flags.c_contiguous and rows.dtype == np.float64 and len(rows) == 5
+        assert rows.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
 @pytest.fixture
 def lane_calls(monkeypatch):
     """The number of cases of each kernel call, in call order."""

@@ -1,6 +1,7 @@
 """Seeded synthetic case generation and its on-disk layout."""
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from landreg.synth import (
     SCALE_MIN,
     T_MAX,
     SynthConfig,
+    case_files,
     generate_case,
     generate_cases,
     load_cases,
@@ -182,18 +184,28 @@ def test_moving_cloud_is_well_conditioned():
 
 
 def test_save_load_round_trip(tmp_path):
-    config = SynthConfig(noise_sigma=0.5)
-    cases = generate_cases(8, 3, config)
-    save_cases(cases, tmp_path, config)
+    for n_holdout in (1, 0):
+        config = SynthConfig(n_holdout=n_holdout, noise_sigma=0.5)
+        out_dir = tmp_path / f"holdout_{n_holdout}"
+        cases = generate_cases(8, 3, config)
+        save_cases(cases, out_dir, config)
 
-    loaded = load_cases(tmp_path)
-    assert [c.case_id for c in loaded] == ["case_000", "case_001", "case_002"]
-    for src, back in zip(cases, loaded):
-        assert np.array_equal(back.moving.coords, src.moving.coords)
-        assert np.array_equal(back.fixed.coords, src.fixed.coords)
-        assert np.array_equal(back.moving_eval.coords, src.moving_eval.coords)
-        assert np.array_equal(back.fixed_eval.coords, src.fixed_eval.coords)
-    assert (tmp_path / "manifest.json").exists()
+        loaded = load_cases(out_dir)
+        assert [c.case_id for c in loaded] == ["case_000", "case_001", "case_002"]
+        for src, back in zip(cases, loaded):
+            assert np.array_equal(back.moving.coords, src.moving.coords)
+            assert np.array_equal(back.fixed.coords, src.fixed.coords)
+            if n_holdout:
+                assert np.array_equal(back.moving_eval.coords, src.moving_eval.coords)
+                assert np.array_equal(back.fixed_eval.coords, src.fixed_eval.coords)
+            else:
+                assert back.moving_eval is None and back.fixed_eval is None
+            # case_files is the layout: the case directory holds exactly its members that exist
+            layout = case_files(out_dir, src.case_id)
+            present = tuple(path for path in layout if os.path.exists(path))
+            assert present == layout[: 4 if n_holdout else 2]
+            assert sorted(os.listdir(out_dir / src.case_id)) == sorted(os.path.basename(path) for path in present)
+        assert (out_dir / "manifest.json").exists()
 
 
 # save_cases(generate_cases(3, 1, config), ...) for the config below, as written
