@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -39,7 +38,7 @@ from .errors import (
 from .refine import RefineConfig, refine, refine_many
 from .umeyama import umeyama_fit
 
-# A registration method's fitter: the fitting landmarks of a few cases, as
+# A registration method's fitter: the fitting landmarks of a cohort, as
 # their moving and fixed sets in case order, to one transform per case.
 Fitter = Callable[[Sequence[PointSet], Sequence[PointSet]], list[AffineMatrix]]
 
@@ -237,9 +236,9 @@ def refined_fit(movings: Sequence[PointSet], fixeds: Sequence[PointSet],
                 config: RefineConfig | None = None) -> list[AffineMatrix]:
     """Similarity fit followed by Adam refinement of all nine parameters, case by case.
 
-    Consecutive cases with equal landmark counts refine two at a time
-    (:func:`~landreg.refine.refine_many`); each transform is the one a
-    one-case call gives, bit for bit.
+    The refinements run through :func:`~landreg.refine.refine_many`, which
+    pairs and parallelizes them; each transform is the one a one-case call
+    gives, bit for bit.
     """
     starts = [decompose(umeyama_fit(moving, fixed)) for moving, fixed in zip(movings, fixeds)]
     return [compose(result.params) for result in refine_many(starts, movings, fixeds, config)]
@@ -312,17 +311,9 @@ class MethodComparison:
         return "\n".join(lines) + "\n"
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _run_cases(cases: Sequence[EvalCase], methods: Mapping[str, Fitter]) -> list[RegistrationReport]:
-    """Every method on a few consecutive cases: each transform, fit TRE and
-    hold-out TRE, case by case and, within a case, method by method.
+    """Every method on the cases: each transform, fit TRE and hold-out TRE,
+    case by case and, within a case, method by method.
 
     Each fitter takes all the cases in one call. If any call raises, the
     cases run again one at a time, so the error raised is the one a serial
@@ -375,31 +366,17 @@ def compare_methods(cases: Sequence[EvalCase], methods: Mapping[str, Fitter]) ->
     rather than raising. No case or no method is
     :class:`InsufficientSampleError`.
 
-    Cases run on a pool of threads, one per usable CPU capped at the
-    number of cases, so fitters may be called from several threads at
-    once. Each task hands a fitter one case, or two consecutive ones, so
-    equal-sized cases refine two at a time; cases pair only while the
-    tasks still outnumber or match the threads. Reports are assembled in
-    case order, so the result equals a serial run. The error of the first
-    failing case in case order is raised: a library error as the same
-    object, its message prefixed with the case id and method name; any
-    other exception untouched. Ordering is deterministic: cases and methods
-    in the given order.
+    Each fitter is called once, on the calling thread, with every case in
+    order. The first failing case's error is raised: a library error as
+    the same object, its message prefixed with the case id and method
+    name; any other exception untouched.
     """
     if not cases:
         raise InsufficientSampleError("compare_methods needs at least one case")
     if not methods:
         raise InsufficientSampleError("compare_methods needs at least one method")
 
-    from concurrent.futures import ThreadPoolExecutor
-
-    workers = min(len(cases), _usable_cpus())
-    pairs = min(len(cases) // 2, len(cases) - workers)  # so that no fewer tasks than workers remain
-    chunks = [cases[i:i + 2] for i in range(0, 2 * pairs, 2)] + [cases[i:i + 1] for i in range(2 * pairs, len(cases))]
-    with ThreadPoolExecutor(workers) as pool:
-        per_chunk = list(pool.map(_run_cases, chunks, itertools.repeat(methods)))
-    reports = [report for chunk_reports in per_chunk for report in chunk_reports]
-
+    reports = _run_cases(cases, methods)
     fit = {name: TREStat.from_values([r.fit_tre.mean for r in reports if r.method == name]) for name in methods}
     holdout: dict[str, TREStat] = {}
     if all(case.moving_eval is not None for case in cases):

@@ -13,17 +13,19 @@ The loss, its gradient and the Adam loop run in one C kernel,
 cached beside this module (``_native`` builds and loads it). It reproduces
 the scalar float arithmetic of a plain Python loop operation for
 operation, so its results are bit-identical to that loop's. One kernel
-call refines one case, or two cases of equal landmark count, one per lane
-of 2-double vectors (:func:`refine_many`). Adam's bias corrections come
-from tables the kernel fills on a process's first call.
+call refines one case, or two of equal landmark count, one per lane of
+2-double vectors; :func:`refine_many` forms the calls and runs them on
+threads. Adam's bias corrections come from tables filled on first use.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import itertools
+import os
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -197,6 +199,8 @@ def refine_many(inits: Sequence[AffineParams9], movings: Sequence[PointSet], fix
     case's correspondence is checked before any case is refined. Two
     consecutive cases with equal landmark counts refine in one kernel
     call, one case per vector lane, in less time than two calls take.
+    The calls run on threads, one per usable CPU up to the number of calls
+    (the kernel releases the interpreter lock); a single call starts none.
     Sequences of unequal length are a :class:`CorrespondenceError`.
     """
     if not len(inits) == len(movings) == len(fixeds):
@@ -205,15 +209,32 @@ def refine_many(inits: Sequence[AffineParams9], movings: Sequence[PointSet], fix
     for moving, fixed in zip(movings, fixeds):
         require_correspondence(moving, fixed)
     cfg = config if config is not None else RefineConfig()
-    results: list[RefineResult] = []
-    i = 0
+    calls, i = [], 0
     while i < len(inits):
         lanes = 2 if i + 1 < len(inits) and len(movings[i]) == len(movings[i + 1]) else 1
-        for outcome in _refine_lanes(inits[i:i + lanes], movings[i:i + lanes], fixeds[i:i + lanes], cfg):
-            if isinstance(outcome, DivergenceError):
-                raise outcome
-            results.append(outcome)
+        calls.append((inits[i:i + lanes], movings[i:i + lanes], fixeds[i:i + lanes], cfg))
         i += lanes
+    if (workers := min(len(calls), _usable_cpus())) > 1:
+        _bias_corrections()  # loads the kernel too, so the pool's threads only read the caches
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            return _in_case_order(pool.map(_refine_lanes, *zip(*calls)))
+    return _in_case_order(itertools.starmap(_refine_lanes, calls))
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _in_case_order(per_call: Iterable[list[RefineResult | DivergenceError]]) -> list[RefineResult]:
+    """The kernel calls' outcomes, read call by call: the results, or the earliest case's error."""
+    results = []
+    for outcome in itertools.chain.from_iterable(per_call):
+        if isinstance(outcome, DivergenceError):
+            raise outcome
+        results.append(outcome)
     return results
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import importlib
 import math
 import threading
 
@@ -35,6 +36,9 @@ from landreg.evaluate import (
 from landreg.refine import RefineConfig, refine
 from landreg.synth import SynthConfig, generate_cases
 from landreg.umeyama import umeyama_fit
+
+# the module, which the package's refine function hides as an attribute
+refine_module = importlib.import_module("landreg.refine")
 
 TETRA = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [0.0, 10.0, 0.0], [0.0, 0.0, 10.0]])
 
@@ -328,8 +332,8 @@ def test_compare_annotates_errors_with_case_id():
 
 @pytest.fixture
 def several_cpus(monkeypatch):
-    """Pretend four usable CPUs, so cohorts of two or more cases run on several threads."""
-    monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 4)
+    """Pretend four usable CPUs, so refinements of several kernel calls run on several threads."""
+    monkeypatch.setattr(refine_module, "_usable_cpus", lambda: 4)
 
 
 def failing_at_last(case_ids, error):
@@ -345,7 +349,7 @@ def failing_at_last(case_ids, error):
     return cases, fit
 
 
-# One case runs on one thread; three run on three threads, and the last fails.
+# One case, or three of which the last fails.
 COHORTS = pytest.mark.parametrize("case_ids", [["c7"], ["c0", "c1", "c7"]], ids=["one-case", "three-cases"])
 
 
@@ -385,68 +389,12 @@ def test_compare_raises_the_earliest_failing_case(several_cpus):
     assert str(info.value) == "[case c1, method diverging] boom"
 
 
-def test_compare_raises_case_order_not_time_order(several_cpus):
-    cases = [aligned_case(f"c{i}") for i in range(3)]
-    c2_failed, failed = threading.Event(), []
-
-    def diverging(movings, fixeds):
-        (fixed,) = fixeds
-        if fixed is cases[2].fixed:
-            failed.append("c2")
-            c2_failed.set()
-            raise DivergenceError("first", iteration=2)
-        if fixed is cases[1].fixed:
-            c2_failed.wait(timeout=5)
-            failed.append("c1")
-            raise DivergenceError("second", iteration=1)
-        return [AffineMatrix.identity()]
-
-    with pytest.raises(DivergenceError) as info:
-        compare_methods(cases, {"diverging": diverging})
-    assert failed == ["c2", "c1"]
-    assert str(info.value) == "[case c1, method diverging] second"
-
-
-def test_compare_runs_cases_at_once(monkeypatch):
-    # each fit returns only once both cases are fitting
-    monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 2)
-    barrier = threading.Barrier(2, timeout=5)
-
-    def meeting(movings, fixeds):
-        barrier.wait()
-        return [AffineMatrix.identity() for _ in movings]
-
-    table = compare_methods([aligned_case("a"), aligned_case("b")], {"meeting": meeting})
-    assert [report.case_id for report in table.reports] == ["a", "b"]
-
-
-@pytest.mark.parametrize(
-    "cpus, n_cases, sizes",
-    [(1, 5, [2, 2, 1]), (2, 8, [2, 2, 2, 2]), (4, 8, [2, 2, 2, 2]), (4, 5, [2, 1, 1, 1]), (6, 8, [2, 2, 1, 1, 1, 1]),
-     (8, 8, [1] * 8)],
-)
-def test_compare_pairs_cases_while_the_tasks_cover_the_threads(monkeypatch, cpus, n_cases, sizes):
-    monkeypatch.setattr(evaluate, "_usable_cpus", lambda: cpus)
-    cases = [aligned_case(f"c{i}") for i in range(n_cases)]
-    index = {id(case.fixed): i for i, case in enumerate(cases)}
-    calls = []
-
-    def recording(movings, fixeds):
-        calls.append([index[id(fixed)] for fixed in fixeds])
-        return [AffineMatrix.identity() for _ in movings]
-
-    table = compare_methods(cases, {"recording": recording})
-    assert [report.case_id for report in table.reports] == [case.case_id for case in cases]
-    assert [len(chunk) for chunk in sorted(calls)] == sizes
-    assert sorted(i for chunk in calls for i in chunk) == list(range(n_cases))
-
-
 @pytest.mark.parametrize("cpus", [1, 2, 4])
 @pytest.mark.parametrize("error", [DivergenceError, ValueError])
 def test_compare_raises_the_serial_error_of_a_pair(monkeypatch, cpus, error):
-    # c1 and c3 fail, each paired with a case that fits: c1's error is raised
+    # c1 and c3 fail in one call with cases that fit: c1's error is raised
     # as a serial run raises it, a library error tagged and any other untouched
-    monkeypatch.setattr(evaluate, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(refine_module, "_usable_cpus", lambda: cpus)
     cases = [aligned_case(f"c{i}") for i in range(5)]
     failing = {id(cases[1].fixed): 1, id(cases[3].fixed): 3}
 
@@ -466,48 +414,55 @@ def test_compare_raises_the_serial_error_of_a_pair(monkeypatch, cpus, error):
         assert str(info.value) == "boom 1"
 
 
-def test_compare_equals_per_case_fits_at_every_cpu_count(monkeypatch):
-    # an odd count of cases with 4 and 6 fitting landmarks, so some pair and some do not
+def mixed_cohort():
+    """Five nonuniform cases with 4, 4, 4, 6 and 6 fitting landmarks: an odd count and mixed counts."""
     cfg = SynthConfig(scale_mode="nonuniform", noise_sigma=1.0)
     cases = generate_cases(4, 3, cfg) + generate_cases(5, 2, dataclasses.replace(cfg, n_fit=6))
-    cases = [dataclasses.replace(case, case_id=f"case_{i:03d}") for i, case in enumerate(cases)]
+    return [dataclasses.replace(case, case_id=f"case_{i:03d}") for i, case in enumerate(cases)]
+
+
+def test_compare_equals_per_case_fits_at_every_cpu_count(monkeypatch):
+    # an odd count of cases with 4 and 6 fitting landmarks, so some pair and some do not
+    cases = mixed_cohort()
     methods = {**METHODS, "umeyama+refine": functools.partial(refined_fit, config=RefineConfig(iterations=700))}
     per_case = [report for case in cases for report in evaluate._run_cases([case], methods)]
     for cpus in (1, 2, 4, 8):
-        monkeypatch.setattr(evaluate, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(refine_module, "_usable_cpus", lambda: cpus)
         table = compare_methods(cases, methods)
         assert repr(list(table.reports)) == repr(per_case), cpus
 
 
-def test_compare_thread_pool_equals_one_worker(monkeypatch):
-    import concurrent.futures
+@pytest.mark.parametrize("cpus", [1, 2, 4, 8])
+def test_compare_refines_equal_count_neighbours_together(monkeypatch, cpus):
+    # the two 6-landmark cases share a kernel call, and the third 4-landmark case refines alone
+    monkeypatch.setattr(refine_module, "_usable_cpus", lambda: cpus)
+    cases = mixed_cohort()
+    index = {id(case.moving): i for i, case in enumerate(cases)}
+    calls, lanes = [], refine_module._refine_lanes
 
-    cfg = SynthConfig(scale_mode="nonuniform", noise_sigma=1.0)
-    cases = generate_cases(11, 6, cfg)
-    methods = {**METHODS, "umeyama+refine": functools.partial(refined_fit, config=RefineConfig(iterations=500))}
-    sizes = []
+    def recording(inits, movings, *rest):
+        calls.append(tuple(index[id(moving)] for moving in movings))
+        return lanes(inits, movings, *rest)
 
-    class Recording(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers)
+    monkeypatch.setattr(refine_module, "_refine_lanes", recording)
+    compare_methods(cases, {"umeyama+refine": functools.partial(refined_fit, config=RefineConfig(iterations=50))})
+    assert sorted(calls) == [(0, 1), (2,), (3, 4)]
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
-    monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 3)
-    pooled = compare_methods(cases, methods)
-    monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 1)
-    serial = compare_methods(cases, methods)
 
-    assert sizes == [3, 1]
-    assert len(pooled.reports) == len(serial.reports) == len(cases) * len(methods)
-    for a, b in zip(pooled.reports, serial.reports):
-        assert (a.case_id, a.method) == (b.case_id, b.method)
-        assert np.array_equal(a.transform.matrix, b.transform.matrix)
-        assert not a.transform.matrix.flags.writeable
-        assert (a.fit_tre, a.holdout_tre) == (b.fit_tre, b.holdout_tre)
-    assert pooled.ttests == serial.ttests
-    assert pooled.to_csv() == serial.to_csv()
-    assert pooled.to_text() == serial.to_text()
+@pytest.mark.parametrize("cpus", [1, 2, 4, 8])
+def test_compare_calls_each_fitter_once_on_the_calling_thread(monkeypatch, cpus):
+    # so a fitter need not be safe to call from several threads at once
+    monkeypatch.setattr(refine_module, "_usable_cpus", lambda: cpus)
+    cases = mixed_cohort()
+    calls = []
+
+    def checking(name, movings, fixeds):
+        calls.append((name, threading.current_thread() is threading.main_thread(), [id(m) for m in movings]))
+        return refined_fit(movings, fixeds, RefineConfig(iterations=50))
+
+    compare_methods(cases, {name: functools.partial(checking, name) for name in ("a", "b")})
+    every_case = [id(case.moving) for case in cases]
+    assert calls == [("a", True, every_case), ("b", True, every_case)]
 
 
 def test_compare_requires_cases():

@@ -16,6 +16,7 @@ import landreg
 import landreg.cli
 from landreg import PointSet, Volume3, _native, write_points, write_volume
 from landreg.refine import LOSS_EPSILON
+from landreg.synth import SynthConfig, generate_cases, save_cases
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 README = os.path.join(ROOT, "README.md")
@@ -155,7 +156,8 @@ def test_compare_loads_no_multiprocessing(tmp_path):
 
 
 def write_inputs(tmp_path):
-    """A registration pair and a 4x3x2 mask with one feature voxel, in ``tmp_path``."""
+    """A registration pair, a 4-case cohort and a 4x3x2 mask with one feature voxel, in ``tmp_path``."""
+    save_cases(generate_cases(1, 4), tmp_path / "cases", SynthConfig())
     names = ("a", "b", "c", "d")
     tetra = [[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [0.0, 10.0, 0.0], [0.0, 0.0, 10.0]]
     write_points(PointSet(tetra, names), str(tmp_path / "moving.csv"))
@@ -165,6 +167,7 @@ def write_inputs(tmp_path):
 
 REGISTER = ["register", "moving.csv", "fixed.csv", "out.json", "--refine"]
 EDT = ["edt", "mask.json", "dist.json"]
+COMPARE = ["compare", "cases", "--csv", "table.csv"]
 
 
 def run_cli(tmp_path, env, argv):
@@ -197,7 +200,8 @@ def test_missing_compiler_for_the_edt_is_one_error_line(tmp_path):
 @pytest.mark.parametrize(("argv", "title", "outputs"), [
     (REGISTER, "refinement kernel", ["out.json"]),
     (EDT, "distance transform kernel", ["dist.json", "dist.raw"]),
-], ids=["register", "edt"])
+    (COMPARE, "refinement kernel", ["table.csv"]),
+], ids=["register", "edt", "compare"])
 def test_unwritable_kernel_cache_is_one_error_line_naming_the_kernel(tmp_path, argv, title, outputs):
     _, env = package_copy(tmp_path)
     write_inputs(tmp_path)

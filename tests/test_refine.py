@@ -4,6 +4,7 @@ import functools
 import importlib
 import math
 import multiprocessing
+import threading
 from concurrent.futures import ProcessPoolExecutor, as_completed
 
 import numpy as np
@@ -19,7 +20,7 @@ from landreg.core import (
     transform_array,
 )
 from landreg.errors import CorrespondenceError, DivergenceError, InvalidParameterError
-from landreg.evaluate import _run_cases, _usable_cpus, compare_methods, refined_fit
+from landreg.evaluate import _run_cases, compare_methods, refined_fit
 from landreg.refine import (
     _MAX_CORRECTIONS,
     ADAM_EPSILON,
@@ -29,6 +30,7 @@ from landreg.refine import (
     TRACE_STRIDE,
     RefineConfig,
     RefineResult,
+    _usable_cpus,
     loss,
     loss_gradient,
     refine,
@@ -413,6 +415,74 @@ def test_refine_many_checks_every_case_before_refining_any(lane_calls):
     assert lane_calls == []
 
 
+def test_refine_many_runs_kernel_calls_at_once(monkeypatch):
+    # each kernel call returns only once both calls are running
+    rng = np.random.default_rng(8)
+    cases = [random_instance(rng, n) for n in (4, 5)]
+    cfg = RefineConfig(iterations=200)
+    alone = [bit_pattern(refine(*case, cfg)) for case in cases]
+    barrier, lanes = threading.Barrier(2, timeout=5), refine_module._refine_lanes
+
+    def meeting(*args):
+        barrier.wait()
+        return lanes(*args)
+
+    monkeypatch.setattr(refine_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(refine_module, "_refine_lanes", meeting)
+    assert [bit_pattern(result) for result in refine_many(*zip(*cases), cfg)] == alone
+
+
+def test_refine_many_raises_case_order_not_time_order(monkeypatch):
+    # the second case's call fails first, then the first case's: the first case's error is raised
+    early = DIVERGING["loss-at-the-start"][0]  # 3 landmarks, fails at its start
+    late, _, cfg = DIVERGING["infinite-angle"]  # 2 landmarks, fails at step 2
+    with pytest.raises(DivergenceError) as alone:
+        refine(*early, cfg)
+    late_failed, failed, lanes = threading.Event(), [], refine_module._refine_lanes
+
+    def ordered(inits, movings, fixeds, config):
+        if movings[0] is early[1]:
+            late_failed.wait(timeout=5)
+        outcomes = lanes(inits, movings, fixeds, config)
+        failed.append("early" if movings[0] is early[1] else "late")
+        late_failed.set()
+        return outcomes
+
+    monkeypatch.setattr(refine_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(refine_module, "_refine_lanes", ordered)
+    with pytest.raises(DivergenceError) as together:
+        refine_many(*zip(early, late), cfg)
+    assert failed == ["late", "early"]
+    assert error_pattern(together.value) == error_pattern(alone.value)
+
+
+def test_refine_many_thread_pool_equals_one_thread(monkeypatch):
+    import concurrent.futures
+
+    cases = generate_cases(11, 7, SynthConfig(scale_mode="nonuniform", noise_sigma=1.0))
+    starts = [decompose(umeyama_fit(case.moving, case.fixed)) for case in cases]
+    movings, fixeds = [case.moving for case in cases], [case.fixed for case in cases]
+    cfg = RefineConfig(iterations=500)
+    sizes = []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(refine_module, "_usable_cpus", lambda: 3)
+    pooled = refine_many(starts, movings, fixeds, cfg)  # 4 calls on 3 threads
+    assert len(refine_many(starts[:3], movings[:3], fixeds[:3], cfg)) == 3  # 2 calls on 2 threads
+    assert len(refine_many(starts[:2], movings[:2], fixeds[:2], cfg)) == 2  # 1 call, no pool
+    refine(starts[0], movings[0], fixeds[0], cfg)  # 1 call, no pool
+    monkeypatch.setattr(refine_module, "_usable_cpus", lambda: 1)
+    serial = refine_many(starts, movings, fixeds, cfg)
+
+    assert sizes == [3, 2]
+    assert [bit_pattern(result) for result in pooled] == [bit_pattern(result) for result in serial]
+
+
 def test_refine_matches_scalar_oracle_past_the_settled_corrections():
     # 40 000 steps run past k = 37 412, from where both bias corrections are 1.0
     (case,) = generate_cases(11, 1, SynthConfig(n_fit=4, noise_sigma=1.0, scale_mode="nonuniform"))
@@ -447,7 +517,7 @@ def fresh_corrections():
 
 
 def test_concurrent_first_refinements_match_serial_ones(fresh_corrections):
-    # the pool's threads all find the tables missing and race to build them
+    # the first refinements of a process without tables run on the pool's threads
     cases = generate_cases(3, 8, SynthConfig(n_fit=4, noise_sigma=1.0, scale_mode="nonuniform"))
     fitters = {
         f"umeyama+refine@{n}": functools.partial(refined_fit, config=RefineConfig(iterations=n))
