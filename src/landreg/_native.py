@@ -6,7 +6,14 @@ kernel's name and the CRC-32 of the compiler command and the source, so an
 edited source is built anew. Contraction into fused multiply-adds is off:
 both kernels reproduce numpy or scalar Python arithmetic, which rounds
 every operation on its own. Math functions need not set ``errno``, so
-``sqrt`` compiles to the instruction, which returns the same value.
+``sqrt`` compiles to the instruction, which returns the same value. GCC's
+note that 4-double vectors pass differently with and without AVX is
+silenced: the kernels' vector functions are all inlined, none exported.
+
+A successful build removes the libraries that older versions of the same
+kernel left in the cache, so the cache holds one library per kernel. A
+process that loaded one of them keeps it: removing a file unlinks its
+name, while the mapped library stays until the process unmaps it.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import zlib
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _CACHE = os.path.join(_HERE, "__pycache__")
-_COMPILE = ("cc", "-O2", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
+_COMPILE = ("cc", "-O2", "-ffp-contract=off", "-fno-math-errno", "-Wno-psabi", "-fPIC", "-shared")
 # a caller's functools.cache lets threads that miss at once all call load,
 # so this lock lets only one of them build a library
 _BUILD_LOCK = threading.Lock()
@@ -80,4 +87,17 @@ def load(name: str, title: str) -> ctypes.CDLL:
     with _BUILD_LOCK:
         if not os.path.exists(library):
             _build(source, library, title)
+            _remove_older(name, library)
     return ctypes.CDLL(library)
+
+
+def _remove_older(name: str, library: str) -> None:
+    """Remove every ``<name>.<crc>.so`` in the cache but ``library``; a file already gone is no error."""
+    import glob
+
+    for older in glob.glob(glob.escape(os.path.join(_CACHE, name)) + "." + "[0-9a-f]" * 8 + ".so"):
+        if older != library:
+            try:
+                os.remove(older)
+            except OSError:
+                pass

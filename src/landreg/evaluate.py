@@ -9,6 +9,7 @@ regularized incomplete beta function, accurate to well below 1e-10.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -236,18 +237,30 @@ def refined_fit(movings: Sequence[PointSet], fixeds: Sequence[PointSet],
                 config: RefineConfig | None = None) -> list[AffineMatrix]:
     """Similarity fit followed by Adam refinement of all nine parameters, case by case.
 
-    The refinements run through :func:`~landreg.refine.refine_many`, which
-    pairs and parallelizes them; each transform is the one a one-case call
-    gives, bit for bit.
+    The similarity fits are those of the ``umeyama`` method, computed once
+    for both. The refinements run through
+    :func:`~landreg.refine.refine_many`, which groups and parallelizes
+    them; each transform is the one a one-case call gives, bit for bit.
     """
-    starts = [decompose(umeyama_fit(moving, fixed)) for moving, fixed in zip(movings, fixeds)]
+    starts = [decompose(fit) for fit in _similarity_fits(tuple(movings), tuple(fixeds))]
     return [compose(result.params) for result in refine_many(starts, movings, fixeds, config)]
+
+
+@functools.lru_cache(maxsize=1)
+def _similarity_fits(movings: tuple[PointSet, ...], fixeds: tuple[PointSet, ...]) -> tuple[AffineMatrix, ...]:
+    """Each case's :func:`umeyama_fit`, kept for the last cohort asked for.
+
+    ``umeyama`` and ``umeyama+refine`` fit the same cases, so ``compare``
+    fits each case once. Point sets are immutable and compare by identity,
+    so a hit is a cohort of the very same sets; a failed fit is not kept.
+    """
+    return tuple(map(umeyama_fit, movings, fixeds))
 
 
 # The registration methods by name, in the order ``compare`` runs them by default.
 METHODS: dict[str, Fitter] = {
-    "identity": lambda movings, fixeds: [AffineMatrix.identity() for _ in movings],
-    "umeyama": lambda movings, fixeds: list(map(umeyama_fit, movings, fixeds)),
+    "identity": lambda movings, fixeds: [AffineMatrix.identity()] * len(movings),
+    "umeyama": lambda movings, fixeds: list(_similarity_fits(tuple(movings), tuple(fixeds))),
     "umeyama+refine": refined_fit,
 }
 

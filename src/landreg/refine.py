@@ -13,9 +13,11 @@ The loss, its gradient and the Adam loop run in one C kernel,
 cached beside this module (``_native`` builds and loads it). It reproduces
 the scalar float arithmetic of a plain Python loop operation for
 operation, so its results are bit-identical to that loop's. One kernel
-call refines one case, or two of equal landmark count, one per lane of
-2-double vectors; :func:`refine_many` forms the calls and runs them on
-threads. Adam's bias corrections come from tables filled on first use.
+call refines one case, two of equal landmark count on 2-double vectors or
+four on 4-double vectors, one case per lane; :func:`refine_many` forms the
+calls and runs them on threads. Where the CPU runs AVX2, four-case calls
+run the kernel's AVX2 build of the same loop. Adam's bias corrections come
+from tables filled on first use.
 """
 
 from __future__ import annotations
@@ -88,11 +90,12 @@ class RefineResult:
 
 def _pairs(movings: Sequence[PointSet], fixeds: Sequence[PointSet]) -> np.ndarray:
     """Correspondences as the kernel reads them: C-contiguous rows (px, py,
-    pz, fx, fy, fz), each coordinate given for both vector lanes in turn.
-    Two cases fill one lane each; one case fills both."""
-    # each case's six columns side by side; two cases then move the case axis innermost
+    pz, fx, fy, fz), each coordinate given for every vector lane in turn.
+    Two or four cases fill one lane each; one case fills both lanes of a pair."""
+    # each case's six columns side by side; several cases then move the case axis innermost
     rows = np.concatenate([points.coords for case in zip(movings, fixeds) for points in case], axis=1)
-    return rows.repeat(2, axis=1) if len(movings) == 1 else rows.reshape(len(rows), 2, 6).swapaxes(1, 2).copy()
+    lanes = len(movings)
+    return rows.repeat(2, axis=1) if lanes == 1 else rows.reshape(len(rows), lanes, 6).swapaxes(1, 2).copy()
 
 
 # landreg_refine's status codes, as _refine.c defines them
@@ -102,7 +105,11 @@ _NONFINITE_ANGLE = 2
 
 @functools.cache
 def _kernel() -> ctypes.CDLL:
-    """The compiled kernel, built on the first call if the cache lacks this version."""
+    """The compiled kernel, built on the first call if the cache lacks this version.
+
+    Its ``refine`` attribute is the refinement entry this process calls:
+    ``landreg_refine_avx2`` where ``landreg_has_avx2()`` is 1, else ``landreg_refine``.
+    """
     from ._native import load  # here, so importing the package loads no build code
 
     lib = load("_refine", "refinement kernel")
@@ -114,11 +121,15 @@ def _kernel() -> ctypes.CDLL:
     lib.landreg_loss_and_gradient.restype = ctypes.c_double
     lib.landreg_bias_corrections.argtypes = (ctypes.c_double, count, address)
     lib.landreg_bias_corrections.restype = count
-    lib.landreg_refine.argtypes = (
-        count, address, count, address, count, *[ctypes.c_double] * 5, count, address, count, address, count,
-        address, address, address, address,
-    )
-    lib.landreg_refine.restype = count
+    lib.landreg_has_avx2.argtypes, lib.landreg_has_avx2.restype = (), ctypes.c_int
+    entries = [lib.landreg_refine, *([lib.landreg_refine_avx2] if lib.landreg_has_avx2() else [])]
+    for entry in entries:
+        entry.argtypes = (
+            count, address, count, address, count, *[ctypes.c_double] * 5, count, address, count, address, count,
+            address, address, address, address,
+        )
+        entry.restype = count
+    lib.refine = entries[-1]
     return lib
 
 
@@ -196,11 +207,15 @@ def refine_many(inits: Sequence[AffineParams9], movings: Sequence[PointSet], fix
 
     The results, and the error raised when a case fails, are those of one
     :func:`refine` call per case in turn, bit for bit, except that every
-    case's correspondence is checked before any case is refined. Two
-    consecutive cases with equal landmark counts refine in one kernel
-    call, one case per vector lane, in less time than two calls take.
-    The calls run on threads, one per usable CPU up to the number of calls
-    (the kernel releases the interpreter lock); a single call starts none.
+    case's correspondence is checked before any case is refined. Each run
+    of consecutive cases with equal landmark counts is cut into kernel
+    calls of two cases and at most one of one; a call refines one case per
+    vector lane, in less time than one call per case takes. Where those
+    calls outnumber the usable CPUs, pairs of pair calls, earliest first,
+    become calls of four cases, as long as at least one call per usable
+    CPU is left. The calls run on threads, one per usable CPU up to the
+    number of calls (the kernel releases the interpreter lock); a single
+    call starts none.
     Sequences of unequal length are a :class:`CorrespondenceError`.
     """
     if not len(inits) == len(movings) == len(fixeds):
@@ -209,12 +224,19 @@ def refine_many(inits: Sequence[AffineParams9], movings: Sequence[PointSet], fix
     for moving, fixed in zip(movings, fixeds):
         require_correspondence(moving, fixed)
     cfg = config if config is not None else RefineConfig()
-    calls, i = [], 0
-    while i < len(inits):
-        lanes = 2 if i + 1 < len(inits) and len(movings[i]) == len(movings[i + 1]) else 1
-        calls.append((inits[i:i + lanes], movings[i:i + lanes], fixeds[i:i + lanes], cfg))
-        i += lanes
-    if (workers := min(len(calls), _usable_cpus())) > 1:
+    runs, cpus = [len(list(run)) for _, run in itertools.groupby(map(len, movings))], _usable_cpus()
+    # a 4-lane call takes less time than the two pair calls it replaces, but
+    # on one thread, so it is formed only where threads would be short of calls
+    fours = max(0, sum((run + 1) // 2 for run in runs) - cpus)
+    calls, start = [], 0
+    for run in runs:
+        quads = min(run // 4, fours)
+        fours -= quads
+        for lanes in [4] * quads + [2] * ((run - 4 * quads) // 2) + [1] * (run % 2):
+            stop = start + lanes
+            calls.append((inits[start:stop], movings[start:stop], fixeds[start:stop], cfg))
+            start = stop
+    if (workers := min(len(calls), cpus)) > 1:
         _bias_corrections()  # loads the kernel too, so the pool's threads only read the caches
         from concurrent.futures import ThreadPoolExecutor
 
@@ -240,8 +262,8 @@ def _in_case_order(per_call: Iterable[list[RefineResult | DivergenceError]]) -> 
 
 def _refine_lanes(inits: Sequence[AffineParams9], movings: Sequence[PointSet], fixeds: Sequence[PointSet],
                   cfg: RefineConfig) -> list[RefineResult | DivergenceError]:
-    """One kernel call over one case, or over two with equal landmark counts,
-    one per lane: each case's result, or the error its own call raises."""
+    """One kernel call over one case, or over two or four with equal landmark
+    counts, one per lane: each case's result, or the error its own call raises."""
     lanes = len(inits)
     # iterations 0 and 1, every TRACE_STRIDE-th and the last
     samples = cfg.iterations // TRACE_STRIDE + 3
@@ -252,7 +274,7 @@ def _refine_lanes(inits: Sequence[AffineParams9], movings: Sequence[PointSet], f
     pairs, theta = _pairs(movings, fixeds), np.array([init.t + init.r + init.s for init in inits])
     losses, outcomes = np.empty((lanes, 2)), np.empty((lanes, 2), np.int64)
     first, second = _bias_corrections()
-    traced = _kernel().landreg_refine(
+    traced = _kernel().refine(
         lanes, pairs.ctypes.data, len(pairs), theta.ctypes.data, cfg.iterations,
         cfg.step_size, BETA1, BETA2, ADAM_EPSILON, LOSS_EPSILON, TRACE_STRIDE,
         first.ctypes.data, len(first), second.ctypes.data, len(second),

@@ -432,6 +432,23 @@ def test_compare_equals_per_case_fits_at_every_cpu_count(monkeypatch):
         assert repr(list(table.reports)) == repr(per_case), cpus
 
 
+def test_compare_fits_each_case_s_similarity_once(monkeypatch):
+    # umeyama and umeyama+refine share each case's closed-form fit, and identity is one matrix per call
+    cases = mixed_cohort()
+    methods = {**METHODS, "umeyama+refine": functools.partial(refined_fit, config=RefineConfig(iterations=300))}
+    per_case = [report for case in cases for report in evaluate._run_cases([case], methods)]
+    fitted = []
+    monkeypatch.setattr(evaluate, "umeyama_fit", lambda moving, fixed: fitted.append(moving) or umeyama_fit(moving, fixed))
+    table = compare_methods(cases, methods)
+    assert fitted == [case.moving for case in cases]
+    assert repr(list(table.reports)) == repr(per_case)
+    (identity,) = {id(report.transform) for report in table.reports if report.method == "identity"}
+    # the same sets in new objects are another cohort: fitted again
+    copies = [dataclasses.replace(case, moving=PointSet(case.moving.coords)) for case in cases]
+    assert repr(list(compare_methods(copies, methods).reports)) == repr(per_case)
+    assert len(fitted) == 2 * len(cases)
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 4, 8])
 def test_compare_refines_equal_count_neighbours_together(monkeypatch, cpus):
     # the two 6-landmark cases share a kernel call, and the third 4-landmark case refines alone

@@ -1,6 +1,8 @@
 """The package namespace: what the README documents imports from ``landreg``."""
 
 import contextlib
+import ctypes
+import importlib
 import io
 import math
 import os
@@ -138,6 +140,23 @@ def test_threads_building_at_once_leave_one_library(tmp_path):
     assert log.read_text().splitlines() == ["build"]
     library = kernel_files(cache)
     assert len(library) == 1 and library[0].endswith(".so"), library
+
+
+def test_a_build_leaves_one_library_per_kernel(tmp_path, monkeypatch):
+    # older versions of the kernel, one of them loaded as a running process holds it
+    refine_module = importlib.import_module("landreg.refine")
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    for name in ("_refine.00000000.so", "_refine.0badcafe.so", "_edt.00000000.so"):
+        shutil.copy(refine_module._kernel()._name, cache / name)
+    loaded = ctypes.CDLL(str(cache / "_refine.00000000.so"))
+    monkeypatch.setattr(_native, "_CACHE", str(cache))
+    built = _native.load("_refine", "refinement kernel")
+    (library,) = set(kernel_files(cache)) - {"_edt.00000000.so"}
+    assert re.fullmatch(r"_refine\.[0-9a-f]{8}\.so", library) and built._name == str(cache / library)
+    assert kernel_files(cache) == sorted([library, "_edt.00000000.so"])
+    # its file is gone, but the library stays mapped and callable
+    assert loaded.landreg_has_avx2() == built.landreg_has_avx2()
 
 
 def test_compare_loads_no_multiprocessing(tmp_path):

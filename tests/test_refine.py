@@ -1,5 +1,6 @@
 """Loss, analytic gradient, and Adam refinement."""
 
+import contextlib
 import functools
 import importlib
 import math
@@ -305,6 +306,63 @@ def test_two_lanes_equal_two_one_case_calls(n, iterations, step_size, seed):
     assert [bit_pattern(result) for result in together] == [bit_pattern(refine(*case, cfg)) for case in cases]
 
 
+def refine_entries():
+    """The kernel's refinement entries this CPU runs: landreg_refine, and landreg_refine_avx2 where it runs AVX2."""
+    return ["landreg_refine", "landreg_refine_avx2"][:1 + refine_module._kernel().landreg_has_avx2()]
+
+
+@contextlib.contextmanager
+def bound_entry(entry):
+    """The kernel's entry point ``entry`` bound as the one the process calls, for the duration,
+    with one usable CPU, so that ``refine_many`` forms every 4-lane call it can."""
+    lib = refine_module._kernel()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lib, "refine", getattr(lib, entry))
+        patch.setattr(refine_module, "_usable_cpus", lambda: 1)
+        yield
+
+
+def test_the_process_calls_the_avx2_entry_where_the_cpu_runs_it():
+    lib = refine_module._kernel()
+    assert lib.landreg_has_avx2() in (0, 1)
+    assert lib.refine is getattr(lib, refine_entries()[-1])
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(n=st.integers(3, 12), iterations=st.integers(1, 1200), step_size=st.sampled_from([1e-5, 1e-2, 0.3]),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=4, iterations=355, step_size=1e-5, seed=0)
+@example(n=4, iterations=356, step_size=1e-5, seed=0)
+@example(n=12, iterations=357, step_size=1e-5, seed=1)
+def test_four_lanes_equal_four_one_case_calls(n, iterations, step_size, seed):
+    # through each entry the CPU runs; the one-case calls through the process's own
+    rng = np.random.default_rng(seed)
+    cases = [random_instance(rng, n) for _ in range(4)]
+    cfg = RefineConfig(iterations=iterations, step_size=step_size)
+    alone = [bit_pattern(refine(*case, cfg)) for case in cases]
+    for entry in refine_entries():
+        with bound_entry(entry):
+            assert [bit_pattern(result) for result in refine_many(*zip(*cases), cfg)] == alone, entry
+
+
+def test_the_baseline_entry_equals_the_avx2_entry():
+    if refine_entries() == ["landreg_refine"]:
+        pytest.skip("this CPU does not run AVX2")
+    # 4, 2 and 1 lanes at the paper defaults, and a 4-lane call of a diverging case
+    cases = generate_cases(5, 7, SynthConfig(scale_mode="nonuniform", noise_sigma=1.0))
+    starts = [decompose(umeyama_fit(case.moving, case.fixed)) for case in cases]
+    diverging, healthy, cfg = DIVERGING["loss-at-a-step"]
+    patterns = {}
+    for entry in refine_entries():
+        with bound_entry(entry):
+            results = refine_many(starts, [case.moving for case in cases], [case.fixed for case in cases])
+            outcomes = refine_module._refine_lanes(*zip(healthy, healthy, diverging, healthy), cfg)
+        patterns[entry] = ([bit_pattern(result) for result in results],
+                           [bit_pattern(outcome) for outcome in outcomes[:2] + outcomes[3:]],
+                           error_pattern(outcomes[2]))
+    assert patterns["landreg_refine"] == patterns["landreg_refine_avx2"]
+
+
 def still_case(n):
     """A case at its exact fit from the identity start: every gradient is 0, so no step size moves it."""
     points = PointSet(TETRA[:n] + 1.0)
@@ -354,6 +412,26 @@ def test_a_diverging_lane_fails_as_alone_and_leaves_the_other(scenario, lane):
     assert error_pattern(together.value) == error_pattern(alone.value)
 
 
+@pytest.mark.parametrize("entry", ["landreg_refine", "landreg_refine_avx2"])
+@pytest.mark.parametrize("lane", [0, 1, 2, 3])
+@pytest.mark.parametrize("scenario", list(DIVERGING))
+def test_a_diverging_lane_of_four_fails_as_alone_and_leaves_the_others(scenario, lane, entry):
+    if entry not in refine_entries():
+        pytest.skip("this CPU does not run AVX2")
+    diverging, healthy, cfg = DIVERGING[scenario]
+    with pytest.raises(DivergenceError) as alone:
+        refine(*diverging, cfg)
+    cases = [healthy] * 4
+    cases[lane] = diverging
+    with bound_entry(entry):
+        outcomes = refine_module._refine_lanes(*zip(*cases), cfg)
+        with pytest.raises(DivergenceError) as together:
+            refine_many(*zip(*cases), cfg)
+    assert error_pattern(outcomes.pop(lane)) == error_pattern(alone.value)
+    assert [bit_pattern(outcome) for outcome in outcomes] == [bit_pattern(refine(*healthy, cfg))] * 3
+    assert error_pattern(together.value) == error_pattern(alone.value)
+
+
 def test_two_diverging_lanes_raise_the_first_case_s_error():
     # the second case fails at its start, the first at step 1: case order wins
     late, _, cfg = DIVERGING["loss-at-a-step"]
@@ -380,6 +458,18 @@ def test_pairs_give_each_coordinate_for_both_lanes_in_turn():
         assert rows.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
+def test_pairs_give_each_coordinate_for_four_lanes_in_turn():
+    rng = np.random.default_rng(6)
+    movings, fixeds = [[PointSet(rng.normal(size=(3, 3))) for _ in range(4)] for _ in range(2)]
+    # rows[i, c, lane]: coordinate c of correspondence i (px, py, pz, fx, fy, fz) in that lane
+    expected = np.empty((3, 6, 4))
+    for lane in range(4):
+        expected[:, :3, lane], expected[:, 3:, lane] = movings[lane].coords, fixeds[lane].coords
+    rows = refine_module._pairs(movings, fixeds)
+    assert rows.flags.c_contiguous and rows.dtype == np.float64 and rows.shape == (3, 6, 4)
+    assert rows.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
 @pytest.fixture
 def lane_calls(monkeypatch):
     """The number of cases of each kernel call, in call order."""
@@ -402,6 +492,40 @@ def test_refine_many_pairs_consecutive_cases_of_equal_count(lane_calls):
     assert lane_calls == [1]
     assert bit_pattern(result) == bit_pattern(refine(*cases[0], cfg))
     assert refine_many((), (), (), cfg) == []
+
+
+EIGHT_PAIRS = [(0, 1), (2, 3), (4, 5), (6, 7)]
+
+
+@pytest.mark.parametrize(("counts", "cpus", "calls"), [
+    ([4] * 9, 2, [(0, 1, 2, 3), (4, 5, 6, 7), (8,)]),
+    ([4] * 7 + [6] * 2, 2, [(0, 1, 2, 3), (4, 5), (6,), (7, 8)]),
+    ([4, 4, 4, 6, 6], 1, [(0, 1), (2,), (3, 4)]),
+    ([4] * 8, 1, [(0, 1, 2, 3), (4, 5, 6, 7)]),
+    ([4] * 8, 2, [(0, 1, 2, 3), (4, 5, 6, 7)]),
+    # never fewer calls than pairs would give the usable CPUs
+    ([4] * 8, 3, [(0, 1, 2, 3), (4, 5), (6, 7)]),
+    ([4] * 8, 4, EIGHT_PAIRS),
+    ([4] * 8, 8, EIGHT_PAIRS),
+    ([4] * 9, 4, [(0, 1, 2, 3), (4, 5), (6, 7), (8,)]),
+    ([4] * 9, 8, [*EIGHT_PAIRS, (8,)]),
+], ids=["nine-2", "seven-and-two-2", "three-and-two-1", "eight-1", "eight-2", "eight-3", "eight-4", "eight-8",
+        "nine-4", "nine-8"])
+def test_refine_many_forms_fours_only_while_each_cpu_keeps_a_call(monkeypatch, counts, cpus, calls):
+    monkeypatch.setattr(refine_module, "_usable_cpus", lambda: cpus)
+    rng = np.random.default_rng(9)
+    cases = [random_instance(rng, n) for n in counts]
+    cfg = RefineConfig(iterations=300)
+    seen, lanes = [], refine_module._refine_lanes
+
+    def recording(inits, movings, fixeds, config):
+        seen.append(tuple(next(i for i, case in enumerate(cases) if case[1] is moving) for moving in movings))
+        return lanes(inits, movings, fixeds, config)
+
+    monkeypatch.setattr(refine_module, "_refine_lanes", recording)
+    results = refine_many(*zip(*cases), cfg)
+    assert sorted(seen) == calls
+    assert [bit_pattern(result) for result in results] == [bit_pattern(refine(*case, cfg)) for case in cases]
 
 
 def test_refine_many_checks_every_case_before_refining_any(lane_calls):
@@ -472,7 +596,7 @@ def test_refine_many_thread_pool_equals_one_thread(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
     monkeypatch.setattr(refine_module, "_usable_cpus", lambda: 3)
-    pooled = refine_many(starts, movings, fixeds, cfg)  # 4 calls on 3 threads
+    pooled = refine_many(starts, movings, fixeds, cfg)  # 3 calls (4, 2 and 1 cases) on 3 threads
     assert len(refine_many(starts[:3], movings[:3], fixeds[:3], cfg)) == 3  # 2 calls on 2 threads
     assert len(refine_many(starts[:2], movings[:2], fixeds[:2], cfg)) == 2  # 1 call, no pool
     refine(starts[0], movings[0], fixeds[0], cfg)  # 1 call, no pool
