@@ -9,7 +9,6 @@ regularized incomplete beta function, accurate to well below 1e-10.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -39,9 +38,10 @@ from .errors import (
 from .refine import RefineConfig, refine, refine_many
 from .umeyama import umeyama_fit
 
-# A registration method's fitter: the fitting landmarks of a cohort, as
-# their moving and fixed sets in case order, to one transform per case.
-Fitter = Callable[[Sequence[PointSet], Sequence[PointSet]], list[AffineMatrix]]
+# A stage of a registration method: the fitting landmarks of a cohort, as
+# their moving and fixed sets in case order, and the previous stage's
+# transforms (identities before the first stage), to one transform per case.
+Stage = Callable[[Sequence[PointSet], Sequence[PointSet], Sequence[AffineMatrix]], list[AffineMatrix]]
 
 
 @dataclass(frozen=True)
@@ -233,35 +233,30 @@ def paired_ttest(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
     return t, p
 
 
-def refined_fit(movings: Sequence[PointSet], fixeds: Sequence[PointSet],
-                config: RefineConfig | None = None) -> list[AffineMatrix]:
-    """Similarity fit followed by Adam refinement of all nine parameters, case by case.
+def fit_similarity(movings: Sequence[PointSet], fixeds: Sequence[PointSet],
+                   transforms: Sequence[AffineMatrix]) -> list[AffineMatrix]:
+    """Each case's closed-form similarity fit, :func:`umeyama_fit`; the previous transforms go unused."""
+    return list(map(umeyama_fit, movings, fixeds))
 
-    The similarity fits are those of the ``umeyama`` method, computed once
-    for both. The refinements run through
-    :func:`~landreg.refine.refine_many`, which groups and parallelizes
-    them; each transform is the one a one-case call gives, bit for bit.
+
+def refine_fits(movings: Sequence[PointSet], fixeds: Sequence[PointSet], transforms: Sequence[AffineMatrix],
+                config: RefineConfig | None = None) -> list[AffineMatrix]:
+    """Adam refinement of all nine parameters from each case's previous transform.
+
+    The refinements run through :func:`~landreg.refine.refine_many`, which
+    groups and parallelizes them; each transform is the one a one-case
+    call gives, bit for bit.
     """
-    starts = [decompose(fit) for fit in _similarity_fits(tuple(movings), tuple(fixeds))]
+    starts = [decompose(transform) for transform in transforms]
     return [compose(result.params) for result in refine_many(starts, movings, fixeds, config)]
 
 
-@functools.lru_cache(maxsize=1)
-def _similarity_fits(movings: tuple[PointSet, ...], fixeds: tuple[PointSet, ...]) -> tuple[AffineMatrix, ...]:
-    """Each case's :func:`umeyama_fit`, kept for the last cohort asked for.
-
-    ``umeyama`` and ``umeyama+refine`` fit the same cases, so ``compare``
-    fits each case once. Point sets are immutable and compare by identity,
-    so a hit is a cohort of the very same sets; a failed fit is not kept.
-    """
-    return tuple(map(umeyama_fit, movings, fixeds))
-
-
-# The registration methods by name, in the order ``compare`` runs them by default.
-METHODS: dict[str, Fitter] = {
-    "identity": lambda movings, fixeds: [AffineMatrix.identity()] * len(movings),
-    "umeyama": lambda movings, fixeds: list(_similarity_fits(tuple(movings), tuple(fixeds))),
-    "umeyama+refine": refined_fit,
+# The registration methods by name, each the chain of stages it runs, in the
+# order ``compare`` runs them by default.
+METHODS: dict[str, tuple[Stage, ...]] = {
+    "identity": (),
+    "umeyama": (fit_similarity,),
+    "umeyama+refine": (fit_similarity, refine_fits),
 }
 
 
@@ -324,11 +319,11 @@ class MethodComparison:
         return "\n".join(lines) + "\n"
 
 
-def _run_cases(cases: Sequence[EvalCase], methods: Mapping[str, Fitter]) -> list[RegistrationReport]:
+def _run_cases(cases: Sequence[EvalCase], methods: Mapping[str, Sequence[Stage]]) -> list[RegistrationReport]:
     """Every method on the cases: each transform, fit TRE and hold-out TRE,
     case by case and, within a case, method by method.
 
-    Each fitter takes all the cases in one call. If any call raises, the
+    Each stage takes all the cases in one call. If any call raises, the
     cases run again one at a time, so the error raised is the one a serial
     run meets first. On one case, a library error is re-raised as the same
     object, its message prefixed with the case id and method name.
@@ -341,14 +336,19 @@ def _run_cases(cases: Sequence[EvalCase], methods: Mapping[str, Fitter]) -> list
     return [report for case in cases for report in _fit_cases((case,), methods)]
 
 
-def _fit_cases(cases: Sequence[EvalCase], methods: Mapping[str, Fitter]) -> list[RegistrationReport]:
+def _fit_cases(cases: Sequence[EvalCase], methods: Mapping[str, Sequence[Stage]]) -> list[RegistrationReport]:
     """:func:`_run_cases` without the rerun; errors are tagged only for one case."""
     movings, fixeds = [case.moving for case in cases], [case.fixed for case in cases]
+    # each stage prefix's transforms, for this call only: a prefix shared by methods runs once
+    fits: dict[tuple[Stage, ...], list[AffineMatrix]] = {(): [AffineMatrix.identity()] * len(cases)}
     per_case: list[list[RegistrationReport]] = [[] for _ in cases]
-    for name, fitter in methods.items():
+    for name, stages in methods.items():
+        chain = tuple(stages)
         try:
-            transforms = fitter(movings, fixeds)
-            for case, transform, reports in zip(cases, transforms, per_case, strict=True):
+            for end, stage in enumerate(chain, 1):
+                if chain[:end] not in fits:
+                    fits[chain[:end]] = stage(movings, fixeds, fits[chain[:end - 1]])
+            for case, transform, reports in zip(cases, fits[chain], per_case, strict=True):
                 fit_stat = tre(transform, case.moving, case.fixed)
                 holdout_stat = None
                 if case.moving_eval is not None:
@@ -367,10 +367,10 @@ def _fit_cases(cases: Sequence[EvalCase], methods: Mapping[str, Fitter]) -> list
     return [report for reports in per_case for report in reports]
 
 
-def compare_methods(cases: Sequence[EvalCase], methods: Mapping[str, Fitter]) -> MethodComparison:
+def compare_methods(cases: Sequence[EvalCase], methods: Mapping[str, Sequence[Stage]]) -> MethodComparison:
     """Run every method on every case and aggregate TRE across cases.
 
-    ``methods`` maps each method name to its fitter, for example
+    ``methods`` maps each method name to its chain of stages, for example
     :data:`METHODS` or a selection from it. Per case, TRE is the mean over
     that case's fitting landmarks (and separately over hold-out landmarks
     when present); the cohort mean/std is then taken over cases. Pairwise
@@ -379,10 +379,10 @@ def compare_methods(cases: Sequence[EvalCase], methods: Mapping[str, Fitter]) ->
     rather than raising. No case or no method is
     :class:`InsufficientSampleError`.
 
-    Each fitter is called once, on the calling thread, with every case in
-    order. The first failing case's error is raised: a library error as
-    the same object, its message prefixed with the case id and method
-    name; any other exception untouched.
+    Each distinct stage prefix runs once, on the calling thread, with every
+    case in order. The first failing case's error is raised: a library
+    error as the same object, its message prefixed with the case id and
+    method name; any other exception untouched.
     """
     if not cases:
         raise InsufficientSampleError("compare_methods needs at least one case")

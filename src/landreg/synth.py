@@ -161,8 +161,9 @@ def save_cases(cases: list[SyntheticCase], out_dir: str | os.PathLike, config: S
     generator parameters of every case.
 
     An ``out_dir`` that already holds ``case_*`` directories this call does
-    not write is a :class:`FormatError`, raised before anything is written:
-    ``load_cases`` would mix those stale cases into the new ones.
+    not write, or hold-out CSVs in the directory of a case without hold-out
+    points, is a :class:`FormatError`, raised before anything is written:
+    ``load_cases`` would mix those stale cases or hold-outs into the new ones.
     """
     if not cases:
         raise InvalidParameterError("save_cases needs at least one case")
@@ -175,6 +176,13 @@ def save_cases(cases: list[SyntheticCase], out_dir: str | os.PathLike, config: S
         )
         if stale:
             raise FormatError(f"{out_dir}: holds case directories this run does not write: {', '.join(stale)}")
+        kept = [
+            os.path.relpath(path, out_dir)
+            for case in cases if case.moving_eval is None
+            for path in case_files(out_dir, case.case_id)[2:] if os.path.isfile(path)
+        ]
+        if kept:
+            raise FormatError(f"{out_dir}: holds hold-out files this run does not rewrite: {', '.join(kept)}")
     os.makedirs(out_dir, exist_ok=True)
     entries = []
     for case in cases:

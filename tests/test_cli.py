@@ -352,12 +352,12 @@ def test_compare_refuses_a_mismatched_case_before_fitting_any(tmp_path, capsys, 
     swap_rows(case_dir / "case_007" / csv, 0, 1)
     fitted = []
 
-    def recording(movings, fixeds):
+    def recording(movings, fixeds, transforms):
         fitted.extend(fixeds)
         return [AffineMatrix.identity() for _ in movings]
 
     for name in evaluate.METHODS:
-        monkeypatch.setitem(evaluate.METHODS, name, recording)
+        monkeypatch.setitem(evaluate.METHODS, name, (recording,))
     capsys.readouterr()
     assert main(["compare", str(case_dir)]) == 4
     assert capsys.readouterr().err == f"error: [case case_007] landmark names disagree: {names}\n"
@@ -785,6 +785,20 @@ def test_synth_refuses_stale_cases_and_writes_nothing(tmp_path, capsys):
     assert tree_bytes(out) == before
     assert main(["synth", str(out), "--seed", "2", "--cases", "5"]) == 0
     assert json.loads((out / "manifest.json").read_text())["seed"] == 2
+
+
+def test_synth_refuses_stale_holdouts_and_writes_nothing(tmp_path, capsys):
+    # compare would report the old cohort's hold-outs next to the new fitting landmarks
+    out = tmp_path / "cases"
+    assert main(["synth", str(out), "--seed", "1", "--cases", "2"]) == 0
+    before = tree_bytes(out)
+    capsys.readouterr()
+    assert main(["synth", str(out), "--seed", "2", "--cases", "2", "--n-holdout", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert os.path.join("case_001", "fixed_eval.csv") in captured.err
+    assert tree_bytes(out) == before
 
 
 @pytest.mark.parametrize("kept", ["moving_eval.csv", "fixed_eval.csv"])

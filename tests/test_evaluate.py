@@ -29,8 +29,9 @@ from landreg.evaluate import (
     MethodComparison,
     TREStat,
     compare_methods,
+    fit_similarity,
     paired_ttest,
-    refined_fit,
+    refine_fits,
     tre,
 )
 from landreg.refine import RefineConfig, refine
@@ -269,15 +270,27 @@ def test_eval_case_refuses_pairs_that_do_not_correspond(pair):
         EvalCase(case_id="c0", **pairs)
 
 
+def refined(iterations):
+    """The ``umeyama+refine`` chain with ``iterations`` Adam steps."""
+    return (fit_similarity, functools.partial(refine_fits, config=RefineConfig(iterations=iterations)))
+
+
 def test_methods_registry_runs_in_the_default_order():
-    assert list(METHODS) == ["identity", "umeyama", "umeyama+refine"]
+    assert METHODS == {
+        "identity": (),
+        "umeyama": (fit_similarity,),
+        "umeyama+refine": (fit_similarity, refine_fits),
+    }
     case = generate_cases(6, 1, SynthConfig(scale_mode="nonuniform"))[0]
     config = RefineConfig(iterations=200)
-    expected = compose(refine(decompose(umeyama_fit(case.moving, case.fixed)), case.moving, case.fixed, config).params)
-    (refined,) = refined_fit([case.moving], [case.fixed], config)
-    assert np.array_equal(refined.matrix, expected.matrix)
-    (identity,) = METHODS["identity"]([case.moving], [case.fixed])
-    assert np.array_equal(identity.matrix, np.eye(4))
+    start = umeyama_fit(case.moving, case.fixed)
+    expected = compose(refine(decompose(start), case.moving, case.fixed, config).params)
+    (similarity,) = fit_similarity([case.moving], [case.fixed], [AffineMatrix.identity()])
+    assert np.array_equal(similarity.matrix, start.matrix)
+    (refined_matrix,) = refine_fits([case.moving], [case.fixed], [similarity], config)
+    assert np.array_equal(refined_matrix.matrix, expected.matrix)
+    (report,) = compare_methods([case], {"identity": METHODS["identity"]}).reports
+    assert np.array_equal(report.transform.matrix, np.eye(4))
 
 
 def test_tre_refuses_reordered_names():
@@ -315,8 +328,7 @@ def test_compare_identity_vs_umeyama_on_similarity_cases():
 def test_compare_refinement_improves_nonuniform_cases():
     cfg = SynthConfig(scale_mode="nonuniform")
     cases = generate_cases(6, 4, cfg)
-    refined = functools.partial(refined_fit, config=RefineConfig(iterations=3000))
-    table = compare_methods(cases, {"umeyama": METHODS["umeyama"], "umeyama+refine": refined})
+    table = compare_methods(cases, {"umeyama": METHODS["umeyama"], "umeyama+refine": refined(3000)})
     assert table.fit["umeyama+refine"].mean < table.fit["umeyama"].mean
 
 
@@ -341,12 +353,12 @@ def failing_at_last(case_ids, error):
     cases = [aligned_case(case_id) for case_id in case_ids]
     last = cases[-1].fixed
 
-    def fit(movings, fixeds):
+    def fit(movings, fixeds, transforms):
         if any(fixed is last for fixed in fixeds):
             raise error()
         return [AffineMatrix.identity() for _ in movings]
 
-    return cases, fit
+    return cases, (fit,)
 
 
 # One case, or three of which the last fails.
@@ -377,14 +389,14 @@ def test_compare_raises_the_earliest_failing_case(several_cpus):
     cases = [aligned_case(f"c{i}") for i in range(4)]
     failing = {id(cases[1].fixed): 1, id(cases[2].fixed): 2}
 
-    def diverging(movings, fixeds):
+    def diverging(movings, fixeds, transforms):
         for fixed in fixeds:
             if id(fixed) in failing:
                 raise DivergenceError("boom", iteration=failing[id(fixed)])
         return [AffineMatrix.identity() for _ in movings]
 
     with pytest.raises(DivergenceError) as info:
-        compare_methods(cases, {"diverging": diverging})
+        compare_methods(cases, {"diverging": (diverging,)})
     assert info.value.iteration == 1
     assert str(info.value) == "[case c1, method diverging] boom"
 
@@ -398,14 +410,14 @@ def test_compare_raises_the_serial_error_of_a_pair(monkeypatch, cpus, error):
     cases = [aligned_case(f"c{i}") for i in range(5)]
     failing = {id(cases[1].fixed): 1, id(cases[3].fixed): 3}
 
-    def diverging(movings, fixeds):
+    def diverging(movings, fixeds, transforms):
         for fixed in fixeds:
             if id(fixed) in failing:
                 raise error(f"boom {failing[id(fixed)]}", *([failing[id(fixed)]] if error is DivergenceError else []))
         return [AffineMatrix.identity() for _ in movings]
 
     with pytest.raises(error) as info:
-        compare_methods(cases, {"diverging": diverging})
+        compare_methods(cases, {"diverging": (diverging,)})
     assert type(info.value) is error
     if error is DivergenceError:
         assert str(info.value) == "[case c1, method diverging] boom 1"
@@ -424,7 +436,7 @@ def mixed_cohort():
 def test_compare_equals_per_case_fits_at_every_cpu_count(monkeypatch):
     # an odd count of cases with 4 and 6 fitting landmarks, so some pair and some do not
     cases = mixed_cohort()
-    methods = {**METHODS, "umeyama+refine": functools.partial(refined_fit, config=RefineConfig(iterations=700))}
+    methods = {**METHODS, "umeyama+refine": refined(700)}
     per_case = [report for case in cases for report in evaluate._run_cases([case], methods)]
     for cpus in (1, 2, 4, 8):
         monkeypatch.setattr(refine_module, "_usable_cpus", lambda: cpus)
@@ -432,21 +444,52 @@ def test_compare_equals_per_case_fits_at_every_cpu_count(monkeypatch):
         assert repr(list(table.reports)) == repr(per_case), cpus
 
 
-def test_compare_fits_each_case_s_similarity_once(monkeypatch):
-    # umeyama and umeyama+refine share each case's closed-form fit, and identity is one matrix per call
-    cases = mixed_cohort()
-    methods = {**METHODS, "umeyama+refine": functools.partial(refined_fit, config=RefineConfig(iterations=300))}
-    per_case = [report for case in cases for report in evaluate._run_cases([case], methods)]
+def recording_umeyama_fit(monkeypatch):
+    """The moving sets ``umeyama_fit`` fits from here on, through the binding the stages call."""
     fitted = []
     monkeypatch.setattr(evaluate, "umeyama_fit", lambda moving, fixed: fitted.append(moving) or umeyama_fit(moving, fixed))
+    return fitted
+
+
+def test_compare_runs_a_shared_stage_once_per_call(monkeypatch):
+    # two methods of a user mapping start from one stage object: it runs once, on every case
+    cases = mixed_cohort()
+    calls = []
+
+    def similarity(movings, fixeds, transforms):
+        calls.append([id(moving) for moving in movings])
+        return fit_similarity(movings, fixeds, transforms)
+
+    methods = {"closed form": (similarity,), "refined": (similarity, refined(300)[1])}
+    per_case = [report for case in cases for report in evaluate._run_cases([case], methods)]
+    calls.clear()
+    fitted = recording_umeyama_fit(monkeypatch)
     table = compare_methods(cases, methods)
+    assert calls == [[id(case.moving) for case in cases]]
     assert fitted == [case.moving for case in cases]
     assert repr(list(table.reports)) == repr(per_case)
-    (identity,) = {id(report.transform) for report in table.reports if report.method == "identity"}
-    # the same sets in new objects are another cohort: fitted again
-    copies = [dataclasses.replace(case, moving=PointSet(case.moving.coords)) for case in cases]
-    assert repr(list(compare_methods(copies, methods).reports)) == repr(per_case)
-    assert len(fitted) == 2 * len(cases)
+
+
+def test_compare_fits_the_same_cases_again_on_the_next_call(monkeypatch):
+    # a refinement with its own settings shares umeyama's stage, and nothing outlives a call
+    cases = mixed_cohort()
+    methods = {**METHODS, "umeyama+refine": refined(300)}
+    fitted = recording_umeyama_fit(monkeypatch)
+    first = compare_methods(cases, methods)
+    assert fitted == [case.moving for case in cases]
+    second = compare_methods(cases, methods)
+    assert fitted == [case.moving for case in cases] * 2
+    assert repr(second.reports) == repr(first.reports)
+
+
+def test_evaluate_keeps_no_cache():
+    assert [name for name in dir(evaluate) if hasattr(getattr(evaluate, name), "cache_info")] == []
+
+
+def test_identity_is_one_matrix_per_call():
+    table = compare_methods(mixed_cohort(), {"identity": METHODS["identity"]})
+    (identity,) = {id(report.transform): report.transform for report in table.reports}.values()
+    assert np.array_equal(identity.matrix, np.eye(4))
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 4, 8])
@@ -462,24 +505,25 @@ def test_compare_refines_equal_count_neighbours_together(monkeypatch, cpus):
         return lanes(inits, movings, *rest)
 
     monkeypatch.setattr(refine_module, "_refine_lanes", recording)
-    compare_methods(cases, {"umeyama+refine": functools.partial(refined_fit, config=RefineConfig(iterations=50))})
+    compare_methods(cases, {"umeyama+refine": refined(50)})
     assert sorted(calls) == [(0, 1), (2,), (3, 4)]
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 4, 8])
-def test_compare_calls_each_fitter_once_on_the_calling_thread(monkeypatch, cpus):
-    # so a fitter need not be safe to call from several threads at once
+def test_compare_runs_each_stage_once_on_the_calling_thread(monkeypatch, cpus):
+    # so a stage need not be safe to call from several threads at once
     monkeypatch.setattr(refine_module, "_usable_cpus", lambda: cpus)
     cases = mixed_cohort()
     calls = []
 
-    def checking(name, movings, fixeds):
+    def checking(name, stage, movings, fixeds, transforms):
         calls.append((name, threading.current_thread() is threading.main_thread(), [id(m) for m in movings]))
-        return refined_fit(movings, fixeds, RefineConfig(iterations=50))
+        return stage(movings, fixeds, transforms)
 
-    compare_methods(cases, {name: functools.partial(checking, name) for name in ("a", "b")})
+    similarity = functools.partial(checking, "similarity", fit_similarity)
+    compare_methods(cases, {name: (similarity, functools.partial(checking, name, refined(50)[1])) for name in "ab"})
     every_case = [id(case.moving) for case in cases]
-    assert calls == [("a", True, every_case), ("b", True, every_case)]
+    assert calls == [("similarity", True, every_case), ("a", True, every_case), ("b", True, every_case)]
 
 
 def test_compare_requires_cases():

@@ -21,7 +21,7 @@ from landreg.core import (
     transform_array,
 )
 from landreg.errors import CorrespondenceError, DivergenceError, InvalidParameterError
-from landreg.evaluate import _run_cases, compare_methods, refined_fit
+from landreg.evaluate import _run_cases, compare_methods, fit_similarity, refine_fits
 from landreg.refine import (
     _MAX_CORRECTIONS,
     ADAM_EPSILON,
@@ -643,14 +643,14 @@ def fresh_corrections():
 def test_concurrent_first_refinements_match_serial_ones(fresh_corrections):
     # the first refinements of a process without tables run on the pool's threads
     cases = generate_cases(3, 8, SynthConfig(n_fit=4, noise_sigma=1.0, scale_mode="nonuniform"))
-    fitters = {
-        f"umeyama+refine@{n}": functools.partial(refined_fit, config=RefineConfig(iterations=n))
+    methods = {
+        f"umeyama+refine@{n}": (fit_similarity, functools.partial(refine_fits, config=RefineConfig(iterations=n)))
         for n in (400, 40_000, 10, 2_000)
     }
-    racing = compare_methods(cases, fitters)
+    racing = compare_methods(cases, methods)
     # serially, every step count reads the tables one call built
     refine_module._bias_corrections.cache_clear()
-    serial = [report for case in cases for report in _run_cases([case], fitters)]
+    serial = [report for case in cases for report in _run_cases([case], methods)]
     assert refine_module._bias_corrections.cache_info().misses == 1
     assert repr(list(racing.reports)) == repr(serial)
 

@@ -314,3 +314,21 @@ def test_save_refuses_stale_case_directories_before_writing(tmp_path):
     save_cases(generate_cases(2, 5, config), tmp_path, config)
     save_cases(generate_cases(3, 6, config), tmp_path, config)
     assert [case.case_id for case in load_cases(tmp_path)] == [f"case_{i:03d}" for i in range(6)]
+
+
+def test_save_refuses_stale_holdout_files_before_writing(tmp_path):
+    # load_cases would pair the new fitting landmarks with the old hold-outs
+    save_cases(generate_cases(1, 2, SynthConfig()), tmp_path, SynthConfig())
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    bare = SynthConfig(n_holdout=0)
+    stale = ", ".join(os.path.join(f"case_00{i}", name) for i in (0, 1) for name in ("moving_eval.csv", "fixed_eval.csv"))
+    with pytest.raises(FormatError) as info:
+        save_cases(generate_cases(2, 2, bare), tmp_path, bare)
+    assert str(info.value) == f"{tmp_path}: holds hold-out files this run does not rewrite: {stale}"
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
+    # a cohort with hold-outs rewrites them, and one without writes once they are gone
+    save_cases(generate_cases(3, 2, SynthConfig()), tmp_path, SynthConfig())
+    for path in tmp_path.glob("case_*/*_eval.csv"):
+        path.unlink()
+    save_cases(generate_cases(2, 2, bare), tmp_path, bare)
+    assert [case.moving_eval for case in load_cases(tmp_path)] == [None, None]
